@@ -13,7 +13,6 @@ a missing edge.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Set, Tuple
 
 import networkx as nx
@@ -31,9 +30,7 @@ def extract_dataflow(system) -> nx.DiGraph:
     if system.sniffer is None:
         raise ValueError("dataflow extraction needs a networked run")
 
-    supplied: Dict[Tuple[str, DataType], int] = Counter()
-    for record in system.sniffer.records:
-        supplied[(record.sender, record.packet.data_type)] += 1
+    supplied = system.sniffer.frame_counts()
 
     subscriptions: Dict[str, Set[DataType]] = {}
     for board in system.boards:

@@ -1,13 +1,14 @@
 """Compact trajectory fingerprints for golden regression tests.
 
 A fingerprint is (a) the continuous room/tank series downsampled to a
-few hundred floats and (b) a SHA-256 over the run's *discrete* event
-log — per-node send counts, medium statistics, sniffer frames and
-condensation events.  The discrete counters are scheduling-exact: the
-macro-stepped and reference physics paths dispatch the same sensor
-reads and network events in the same order, so the hash must match bit
-for bit on both paths, while the continuous series carry the (tiny,
-documented) numerical tolerance.
+few hundred floats and (b) a SHA-256 over the run's *discrete*
+counters — per-node send counts, the medium's statistics, the number
+of frames the sniffer logged and the condensation-event count; no
+per-frame content (see :func:`discrete_log_hash`).  The counters are
+scheduling-exact: the macro-stepped and reference physics paths
+dispatch the same sensor reads and network events in the same order,
+so the hash must match bit for bit on both paths, while the continuous
+series carry the (tiny, documented) numerical tolerance.
 
 Fingerprints round-trip through NPZ files under ``tests/golden/``;
 see ``tests/golden/README.md`` for the regeneration command.
@@ -36,6 +37,13 @@ CO2_ABS_TOL = 1e-4
 
 def discrete_log_hash(system) -> str:
     """SHA-256 over the run's discrete event counters.
+
+    The hashed record covers exactly: ``sends`` (per BT node, its
+    transmission count), ``condensation_events``, ``network`` (the
+    ``system.network_stats()`` dict: transmissions, collisions and
+    collision rate, empty without a radio) and, on networked runs,
+    ``sniffer_frames`` — the sniffer's frame *count* only, not the
+    frames' senders, types, times or fates.
 
     Deliberately excludes scheduler-internal totals (dispatched event
     counts differ between macro and reference physics by construction)

@@ -61,9 +61,8 @@ def replay_histogram_accuracy(
 def variance_stream_of(transmitter: AdaptiveTransmitter
                        ) -> Tuple[List[float], List[float]]:
     """Extract the (times, variances) stream a transmitter logged."""
-    times = [d.time for d in transmitter.decisions]
-    variances = [d.variance for d in transmitter.decisions]
-    return times, variances
+    return (list(transmitter.decision_times),
+            list(transmitter.decision_variances))
 
 
 def mean_accuracy_at_n(transmitters: Sequence[AdaptiveTransmitter],

@@ -19,7 +19,7 @@ one — the quantity plotted in the paper's Fig. 12(a) and Fig. 13.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.net.histogram import ExactClusterOracle, VarianceHistogram
@@ -92,7 +92,17 @@ class AdaptiveTransmitter:
         self._threshold: Optional[float] = None
         self._oracle_threshold: Optional[float] = None
         self._last_threshold_update: Optional[float] = None
-        self.decisions: List[AdaptationDecision] = []
+        # The decision log, one column per AdaptationDecision field
+        # rather than one object per decision (a 5 h trial logs ~100k
+        # of them).  The variance column is the oracle's own value
+        # list: a decision is logged exactly when the oracle adds one.
+        self._times: List[float] = []
+        self._variances: List[float] = (
+            self.oracle.values if self.oracle is not None else [])
+        self._histogram_unstable: List[bool] = []
+        self._oracle_unstable: List[bool] = []
+        self._histogram_thresholds: List[Optional[float]] = []
+        self._oracle_thresholds: List[Optional[float]] = []
         self.period_changes: List[tuple] = []  # (time, new_period)
 
     # ------------------------------------------------------------------
@@ -109,13 +119,35 @@ class AdaptiveTransmitter:
     def threshold(self) -> Optional[float]:
         return self._threshold
 
+    @property
+    def decisions(self) -> List[AdaptationDecision]:
+        """The decision log as objects, oldest first (built on read)."""
+        return list(map(AdaptationDecision, self._times, self._variances,
+                        self._histogram_unstable, self._oracle_unstable,
+                        self._histogram_thresholds,
+                        self._oracle_thresholds))
+
+    @property
+    def decision_count(self) -> int:
+        return len(self._times)
+
+    @property
+    def decision_times(self) -> List[float]:
+        """Time column of the decision log (read-only)."""
+        return self._times
+
+    @property
+    def decision_variances(self) -> List[float]:
+        """Variance column of the decision log (read-only)."""
+        return self._variances
+
     def metrics_summary(self) -> dict:
         """Snapshot for the observability collector (JSON-safe)."""
         return {
             "w": self._w,
             "send_period_s": self.send_period_s,
             "period_changes": len(self.period_changes),
-            "decisions": len(self.decisions),
+            "decisions": self.decision_count,
             "threshold": self._threshold,
         }
 
@@ -133,19 +165,17 @@ class AdaptiveTransmitter:
             return None
         variance = self._window_variance()
         self.histogram.add(variance)
-        if self.oracle is not None:
-            self.oracle.add(variance)
         unstable = (self._threshold is not None
                     and variance > self._threshold)
         if self.oracle is not None:
-            oracle_unstable = (self._oracle_threshold is not None
-                               and variance > self._oracle_threshold)
-            self.decisions.append(AdaptationDecision(
-                time=now, variance=variance,
-                histogram_unstable=unstable,
-                oracle_unstable=oracle_unstable,
-                histogram_threshold=self._threshold,
-                oracle_threshold=self._oracle_threshold))
+            self.oracle.add(variance)  # also logs the decision variance
+            self._times.append(now)
+            self._histogram_unstable.append(unstable)
+            self._oracle_unstable.append(
+                self._oracle_threshold is not None
+                and variance > self._oracle_threshold)
+            self._histogram_thresholds.append(self._threshold)
+            self._oracle_thresholds.append(self._oracle_threshold)
 
         if unstable:
             self._stable_streak = 0
@@ -204,26 +234,29 @@ class AdaptiveTransmitter:
     # ------------------------------------------------------------------
     def accuracy(self) -> Optional[float]:
         """Fraction of adaptation decisions matching the oracle."""
-        if not self.decisions:
+        if not self._times:
             return None
-        matches = sum(1 for d in self.decisions if d.matches_oracle)
-        return matches / len(self.decisions)
+        matches = sum(1 for hist, oracle in zip(self._histogram_unstable,
+                                                self._oracle_unstable)
+                      if hist == oracle)
+        return matches / len(self._times)
 
     def accuracy_series(self, bucket_s: float = 600.0) -> List[tuple]:
         """(bucket_end_time, accuracy) over consecutive time buckets."""
-        if not self.decisions:
+        if not self._times:
             return []
         series = []
-        start = self.decisions[0].time
-        bucket_end = start + bucket_s
+        bucket_end = self._times[0] + bucket_s
         hits = total = 0
-        for decision in self.decisions:
-            while decision.time > bucket_end:
+        for time, hist, oracle in zip(self._times,
+                                      self._histogram_unstable,
+                                      self._oracle_unstable):
+            while time > bucket_end:
                 if total:
                     series.append((bucket_end, hits / total))
                 bucket_end += bucket_s
                 hits = total = 0
-            hits += 1 if decision.matches_oracle else 0
+            hits += 1 if hist == oracle else 0
             total += 1
         if total:
             series.append((bucket_end, hits / total))

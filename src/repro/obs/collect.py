@@ -84,7 +84,7 @@ def collect_system_metrics(system, registry: MetricsRegistry) -> None:
             registry.gauge("net.adaptive.period_changes").set(
                 sum(len(t.period_changes) for t in transmitters))
             registry.gauge("net.adaptive.decisions").set(
-                sum(len(t.decisions) for t in transmitters))
+                sum(t.decision_count for t in transmitters))
 
     for board in system.boards:
         registry.gauge(

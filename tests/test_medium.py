@@ -1,9 +1,14 @@
 """Tests for the broadcast medium: delivery, collision, sniffing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.net.medium import BroadcastMedium, Sniffer
 from repro.net.packet import DataType, Packet
+from repro.obs import create_observability
+from repro.sim.engine import Simulator
 
 
 def make_packet(source="a", data_type=DataType.TEMPERATURE):
@@ -130,8 +135,8 @@ class TestSniffer:
         assert sniffer.collision_count == 2
 
     def test_running_counters_match_brute_force_scan(self, sim):
-        # collision_count and frames_of are maintained incrementally in
-        # log(); they must agree with a full scan over the record list.
+        # collision_count and frames_of read the sniffer's columns;
+        # they must agree with a full scan over the record list.
         medium = BroadcastMedium(sim, loss_probability=0.0)
         sniffer = Sniffer()
         medium.attach_sniffer(sniffer)
@@ -151,7 +156,7 @@ class TestSniffer:
         for data_type in types:
             assert sniffer.frames_of(data_type) == [
                 r for r in sniffer.records
-                if r.packet.data_type == data_type]
+                if r.data_type == data_type]
         assert sniffer.frames_of("no-such-type") == []
 
     def test_activity_listener_invoked(self, sim):
@@ -162,3 +167,72 @@ class TestSniffer:
         packet = make_packet()
         medium.transmit(packet, "a")
         assert seen == [(0.0, pytest.approx(packet.airtime_s()))]
+
+
+class _WeakPacket(Packet):
+    """A Packet that can be weakly referenced (Packet has no slot)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _WeakPayload(dict):
+    """A payload dict that can be weakly referenced."""
+
+
+def weak_packet():
+    return _WeakPacket(data_type=DataType.TEMPERATURE, source="a",
+                       created_at=0.0, payload=_WeakPayload(value=1.0))
+
+
+class TestSnifferRetention:
+    """The sniffer logs frame headers, never the frames themselves."""
+
+    def _sniffed_medium(self, sim):
+        medium = BroadcastMedium(sim, loss_probability=0.0)
+        sniffer = Sniffer()
+        medium.attach_sniffer(sniffer)
+        medium.attach_receiver("b", lambda p, s: None)
+        return medium, sniffer
+
+    def test_untraced_packet_freed_after_delivery(self, sim):
+        medium, sniffer = self._sniffed_medium(sim)
+        packet = weak_packet()
+        packet_ref = weakref.ref(packet)
+        payload_ref = weakref.ref(packet.payload)
+        medium.transmit(packet, "a")
+        del packet
+        sim.run(1.0)
+        assert sniffer.frame_count == 1
+        gc.collect()
+        assert packet_ref() is None
+        assert payload_ref() is None
+
+    def test_traced_packet_held_only_by_trace_collector(self):
+        obs = create_observability(profile=False, trace=True,
+                                   trace_sample=1)
+        sim = Simulator(seed=42, obs=obs)
+        medium, sniffer = self._sniffed_medium(sim)
+        packet = weak_packet()
+        packet.trace_ctx = obs.trace.begin("a", DataType.TEMPERATURE,
+                                           None, 0.0)
+        root = packet.trace_ctx[2]
+        packet_ref = weakref.ref(packet)
+        medium.transmit(packet, "a")
+        del packet
+        sim.run(1.0)
+        gc.collect()
+        # The frame itself is gone; what outlives it is the trace's
+        # own state, held by the collector, which recorded the airtime.
+        assert packet_ref() is None
+        assert any(referrer is obs.trace._roots
+                   for referrer in gc.get_referrers(root))
+        assert [span[0] for span in obs.trace._raw] == ["air"]
+        # Nothing the sniffer keeps refers to the trace context.
+        sniffer_columns = list(vars(sniffer).values())
+        assert not any(referrer is column
+                       for referrer in gc.get_referrers(root)
+                       for column in sniffer_columns)
+        record = sniffer.records[0]
+        assert (record.sender, record.data_type, record.collided,
+                record.receivers_reached) == (
+                    "a", DataType.TEMPERATURE, False, 1)
