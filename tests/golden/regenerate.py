@@ -1,5 +1,5 @@
-"""Regenerate the golden fingerprints, the chaos SLO report, and the
-paper-va trace-summary seed.
+"""Regenerate the golden fingerprints, the chaos SLO report, the
+paper-va trace-summary seed, and the study report goldens.
 
 Run from the repository root after an *intentional* behaviour change:
 
@@ -31,9 +31,12 @@ from repro.analysis.fingerprint import (  # noqa: E402
 from repro.obs import create_observability  # noqa: E402
 from tests.golden_trials import (  # noqa: E402
     GOLDEN_DIR,
+    STUDY_ARGS,
     chaos_quick_slo,
     golden_scenarios,
     run_golden_trial,
+    study_argv,
+    study_outputs,
 )
 
 
@@ -80,6 +83,21 @@ def main() -> int:
         if rc:
             return rc
     print(f"  wrote {path}")
+
+    # The study goldens pin the campaign, sweep, chaos and bake-off
+    # reports byte for byte, produced through the CLI with exactly the
+    # invocations the CLI tests run.
+    for study in STUDY_ARGS:
+        print(f"running the {study} study (CLI)...", flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            rc = cli_main(study_argv(study, Path(tmp)))
+            if rc:
+                return rc
+            outputs = study_outputs(study, Path(tmp))
+        for suffix, text in outputs.items():
+            path = GOLDEN_DIR / f"study_{study}.{suffix}"
+            path.write_text(text, encoding="utf-8")
+            print(f"  wrote {path}")
     return 0
 
 

@@ -16,10 +16,11 @@ bit-identical trajectories, and a single committed fingerprint checks
 both.
 """
 
+import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 from repro.analysis.slo import SloBudgets, SloReport, score_system
 from repro.core.system import BubbleZero
@@ -82,3 +83,70 @@ def run_network_trial(macro: bool = True) -> BubbleZero:
 #: key -> callable(macro=...) for every registered golden trial.
 TRIALS = {key: partial(run_golden_trial, key)
           for key in golden_scenarios()}
+
+
+#: The study CLI invocations whose reports are pinned byte for byte as
+#: ``golden/study_<name>.{json,md}`` (plus ``study_chaos.jsonl``).  The
+#: CLI tests run exactly these and regenerate.py replays them, so the
+#: goldens cost tier-1 no extra simulation time.
+STUDY_ARGS = {
+    "campaign": ["campaign", "--quick", "--only", "stuck-*",
+                 "--minutes", "6", "--warmup-minutes", "2",
+                 "--workers", "1"],
+    "sweep": ["sweep", "--seeds", "2", "--minutes", "2",
+              "--warmup-minutes", "1", "--workers", "1"],
+    "chaos": ["chaos", "--scenario", "chaos-quick", "--hours", "0.2",
+              "--seeds", "1", "--seed-base", "1",
+              "--hazard", "quick", "--rate-scale", "3",
+              "--window-minutes", "3", "--warmup-minutes", "3"],
+    "bakeoff": ["bakeoff", "--seeds", "1", "--minutes", "6",
+                "--warmup-minutes", "1", "--window-minutes", "2",
+                "--workers", "2"],
+}
+
+#: Manifest fields that describe the host, not the study; stripped
+#: before comparison.  ``config_hash`` stays: it is the dedupe key.
+HOST_FIELDS = ("git_rev", "packages", "platform", "cpu_count")
+
+
+def study_argv(study: str, out_dir: Path) -> List[str]:
+    """The pinned invocation of ``study``, writing its reports into
+    ``out_dir`` as ``<study>.json`` / ``.md`` (and ``.jsonl``)."""
+    argv = STUDY_ARGS[study] + ["--json", str(out_dir / f"{study}.json"),
+                                "--report", str(out_dir / f"{study}.md")]
+    if study == "chaos":
+        argv += ["--jsonl", str(out_dir / f"{study}.jsonl")]
+    return argv
+
+
+def _dump(report: Dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def study_outputs(study: str, out_dir: Path) -> Dict[str, str]:
+    """The reports a :func:`study_argv` run wrote, keyed by suffix, with
+    the manifest's host fields stripped from the JSON.
+
+    The JSON writer's output is canonical (sorted keys, indent 2), so
+    re-serialising the stripped document leaves every other byte as
+    written; the round trip is checked before anything is stripped.
+    """
+    raw = (out_dir / f"{study}.json").read_text(encoding="utf-8")
+    report = json.loads(raw)
+    if _dump(report) != raw:
+        raise AssertionError(f"{study}.json is not in canonical form")
+    for field in HOST_FIELDS:
+        del report["manifest"][field]
+    outputs = {"json": _dump(report)}
+    for suffix in ("md", "jsonl"):
+        path = out_dir / f"{study}.{suffix}"
+        if path.exists():
+            outputs[suffix] = path.read_text(encoding="utf-8")
+    return outputs
+
+
+def study_goldens(study: str) -> Dict[str, str]:
+    """The committed goldens of ``study``, in :func:`study_outputs`
+    form."""
+    return {path.suffix[1:]: path.read_text(encoding="utf-8")
+            for path in sorted(GOLDEN_DIR.glob(f"study_{study}.*"))}
