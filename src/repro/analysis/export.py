@@ -6,6 +6,7 @@ offline-analysis side: it dumps a run's recorded series to CSV (one
 column per series, resampled to a common grid) and a machine-readable
 summary of the outcomes to JSON, so external tooling (spreadsheets,
 plotting) can consume a run without importing the library.
+:func:`write_json` is also the one writer of every study report.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -92,59 +93,27 @@ def run_summary(system) -> Dict:
     return summary
 
 
-def export_summary_json(system, path: str) -> None:
-    """Write :func:`run_summary` to ``path`` as pretty-printed JSON."""
+def write_json(document: object, path: str) -> None:
+    """Write ``document`` as deterministic JSON.
+
+    Deterministic means byte-identical across re-runs of the same
+    config: keys are sorted and nothing time-dependent is added, so
+    study reports from any worker count can be diffed directly.
+    """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(run_summary(system), handle, indent=2, sort_keys=True)
+    with out.open("w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True,
+                  default=float)
         handle.write("\n")
+
+
+def export_summary_json(system, path: str) -> None:
+    """Write :func:`run_summary` to ``path`` as pretty-printed JSON."""
+    write_json(run_summary(system), path)
 
 
 def load_summary_json(path: str) -> Dict:
     """Read back a summary written by :func:`export_summary_json`."""
-    with Path(path).open() as handle:
-        return json.load(handle)
-
-
-def export_campaign_json(result, path: str) -> None:
-    """Write a campaign's :meth:`report_dict` as deterministic JSON.
-
-    Deterministic means byte-identical across re-runs of the same
-    config: keys are sorted and no wall-clock timestamps are included,
-    so the reproducibility check can diff the files directly.
-    """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(result.report_dict(), handle, indent=2, sort_keys=True,
-                  default=float)
-        handle.write("\n")
-
-
-def load_campaign_json(path: str) -> Dict:
-    """Read back a report written by :func:`export_campaign_json`."""
-    with Path(path).open() as handle:
-        return json.load(handle)
-
-
-def export_sweep_json(result, path: str) -> None:
-    """Write a sweep's :meth:`report_dict` as deterministic JSON.
-
-    Same contract as :func:`export_campaign_json`: sorted keys, no
-    wall-clock timestamps, so exports from the same
-    :class:`~repro.workloads.sweep.SweepConfig` are byte-identical
-    regardless of how many workers executed the replicates.
-    """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(result.report_dict(), handle, indent=2, sort_keys=True,
-                  default=float)
-        handle.write("\n")
-
-
-def load_sweep_json(path: str) -> Dict:
-    """Read back a report written by :func:`export_sweep_json`."""
     with Path(path).open() as handle:
         return json.load(handle)

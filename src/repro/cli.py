@@ -17,9 +17,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional
+from functools import partial
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.export import export_summary_json, export_traces_csv
+from repro.analysis.export import (
+    export_summary_json,
+    export_traces_csv,
+    write_json,
+)
 from repro.core.config import BubbleZeroConfig, NetworkConfig
 from repro.scenarios.spec import (
     SCRIPT_BUILDERS,
@@ -28,6 +34,25 @@ from repro.scenarios.spec import (
     prepare_run,
 )
 from repro.sim.clock import format_clock
+
+
+def _add_study_flags(parser: argparse.ArgumentParser,
+                     telemetry: bool = True) -> None:
+    """The flags the study subcommands share."""
+    parser.add_argument("--workers", type=int, default=None,
+                        help="process-pool width (default: cpu count, "
+                             "capped at the number of runs)")
+    parser.add_argument("--timeout-s", type=float, default=None,
+                        help="per-run wall-clock timeout (workers > 1)")
+    parser.add_argument("--report", metavar="PATH",
+                        help="write the rendered report here")
+    parser.add_argument("--json", metavar="PATH", dest="json_path",
+                        help="write the machine-readable report here")
+    if telemetry:
+        parser.add_argument("--telemetry", metavar="DIR", default=None,
+                            help="record per-run observability (events, "
+                                 "metrics, health, profile) into this "
+                                 "directory; runs stay bit-identical")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 5)")
     bakeoff.add_argument("--window-minutes", type=float, default=10.0,
                          help="rolling SLO window length (default: 10)")
-    bakeoff.add_argument("--workers", type=int, default=None,
-                         help="process-pool width (default: cpu count, "
-                              "capped at the number of runs)")
-    bakeoff.add_argument("--timeout-s", type=float, default=None,
-                         help="per-run wall-clock timeout (workers > 1)")
-    bakeoff.add_argument("--report", metavar="PATH",
-                         help="write the rendered report here")
-    bakeoff.add_argument("--json", metavar="PATH", dest="json_path",
-                         help="write the machine-readable report here")
+    _add_study_flags(bakeoff, telemetry=False)
 
     cop = sub.add_parser("cop", help="steady-state COP report (Fig. 11)")
     cop.add_argument("--seed", type=int, default=7)
@@ -177,19 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--controller", metavar="NAME", default="pid",
                           help="control stack for baseline and cells "
                                "(see `repro controllers`; default: pid)")
-    campaign.add_argument("--workers", type=int, default=None,
-                          help="process-pool width (default: cpu count, "
-                               "capped at the number of runs)")
-    campaign.add_argument("--timeout-s", type=float, default=None,
-                          help="per-run wall-clock timeout (workers > 1)")
-    campaign.add_argument("--report", metavar="PATH",
-                          help="write the markdown report here")
-    campaign.add_argument("--json", metavar="PATH", dest="json_path",
-                          help="write the machine-readable report here")
-    campaign.add_argument("--telemetry", metavar="DIR", default=None,
-                          help="record per-run observability (events, "
-                               "metrics, health, profile) into this "
-                               "directory; runs stay bit-identical")
+    _add_study_flags(campaign)
     campaign.add_argument("--trace", action="store_true",
                           help="also record per-run causal traces "
                                "(trace.jsonl; requires --telemetry)")
@@ -226,18 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica-lane within the documented "
                             "lockstep tolerance); composes with "
                             "--workers, which then counts groups")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: cpu count, "
-                            "capped at the number of replicates)")
-    sweep.add_argument("--timeout-s", type=float, default=None,
-                       help="per-run wall-clock timeout (workers > 1)")
-    sweep.add_argument("--report", metavar="PATH",
-                       help="write the markdown report here")
-    sweep.add_argument("--json", metavar="PATH", dest="json_path",
-                       help="write the machine-readable report here")
-    sweep.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="record per-replicate observability into "
-                            "this directory; runs stay bit-identical")
+    _add_study_flags(sweep)
     sweep.add_argument("--trace", action="store_true",
                        help="also record per-replicate causal traces "
                             "(trace.jsonl; requires --telemetry)")
@@ -271,22 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--rate-scale", type=float, default=1.0,
                        help="multiply every hazard rate (and accelerate "
                             "battery wear-out) by this factor")
-    chaos.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: cpu count, "
-                            "capped at the number of runs)")
-    chaos.add_argument("--timeout-s", type=float, default=None,
-                       help="per-run wall-clock timeout (workers > 1)")
     chaos.add_argument("--jsonl", metavar="PATH",
                        help="stream incremental SLO report rows here "
                             "(one JSON object per line)")
-    chaos.add_argument("--json", metavar="PATH", dest="json_path",
-                       help="write the full machine-readable report "
-                            "here")
-    chaos.add_argument("--report", metavar="PATH",
-                       help="write the markdown report here")
-    chaos.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="record per-run observability artifacts "
-                            "into this directory")
+    _add_study_flags(chaos)
     chaos.add_argument("--trace", action="store_true",
                        help="also record per-run causal traces and "
                             "fold p95 data-age / fault-age-delta "
@@ -465,44 +447,40 @@ def cmd_controllers(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bakeoff(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+def _names(csv: str) -> Tuple[str, ...]:
+    return tuple(name.strip() for name in csv.split(",") if name.strip())
 
+
+def _usage_error(exc: Exception) -> int:
+    print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    return 2
+
+
+def _workers(args: argparse.Namespace, study) -> int:
     from repro.runtime.pool import default_worker_count
-    from repro.workloads.bakeoff import (
-        BakeoffConfig,
-        bakeoff_specs,
-        run_bakeoff,
-    )
 
-    controllers = tuple(name.strip()
-                        for name in args.controllers.split(",")
-                        if name.strip())
-    scenarios = tuple(name.strip() for name in args.scenarios.split(",")
-                      if name.strip())
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    try:
-        config = BakeoffConfig(controllers=controllers,
-                               scenarios=scenarios, seeds=seeds,
-                               minutes=args.minutes,
-                               warmup_minutes=args.warmup_minutes,
-                               window_minutes=args.window_minutes)
-        # Resolve every cell up front so a scenario typo fails before
-        # any run starts.
-        specs = bakeoff_specs(config)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    workers = (default_worker_count(len(specs)) if args.workers is None
-               else args.workers)
-    print(f"{len(specs)} run(s): {len(controllers)} controller(s) x "
-          f"{len(scenarios)} cell(s) x {len(seeds)} seed(s), "
-          f"{workers} worker(s)")
-    result = run_bakeoff(config,
-                         progress=lambda m: print(f"  {m}", flush=True),
-                         workers=workers, timeout_s=args.timeout_s)
-    report = result.render()
+    if args.workers is None:
+        return default_worker_count(len(study.specs))
+    return args.workers
+
+
+def _run(args: argparse.Namespace, study, score, workers: int):
+    from repro.workloads.study import run_study
+
+    return run_study(study, score, workers=workers,
+                     timeout_s=args.timeout_s,
+                     progress=lambda line: print(f"  {line}", flush=True),
+                     telemetry_dir=getattr(args, "telemetry", None))
+
+
+def _finish(args: argparse.Namespace, result, report: str,
+            verdicts: Sequence[Tuple[str, List[str], bool]] = ()) -> int:
+    """The tail every study subcommand shares: print the report, write
+    ``--report`` and ``--json``, and map failures to the exit code.
+
+    ``verdicts`` are the preset's own ``(what, labels, fatal)`` checks,
+    reported after the runs that failed to execute (always fatal).
+    """
     print()
     print(report)
     if args.report:
@@ -511,18 +489,43 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         out.write_text(report + "\n")
         print(f"wrote report to {args.report}")
     if args.json_path:
-        out = Path(args.json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(result.report_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        write_json(result.report_dict(), args.json_path)
         print(f"wrote JSON to {args.json_path}")
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
-        return 1
-    return 0
+    status = 0
+    failed = [failure.label for failure in result.failures]
+    for what, labels, fatal in [("runs that failed to execute", failed,
+                                 True), *verdicts]:
+        if labels:
+            print(f"{what}: {', '.join(labels)}")
+            status = status or int(fatal)
+    return status
+
+
+def cmd_bakeoff(args: argparse.Namespace) -> int:
+    from repro.workloads.bakeoff import (
+        BakeoffConfig,
+        bakeoff_study,
+        merge_bakeoff,
+    )
+
+    controllers = _names(args.controllers)
+    scenarios = _names(args.scenarios)
+    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
+    try:
+        config = BakeoffConfig(controllers=controllers,
+                               scenarios=scenarios, seeds=seeds,
+                               minutes=args.minutes,
+                               warmup_minutes=args.warmup_minutes,
+                               window_minutes=args.window_minutes)
+        study = bakeoff_study(config)
+    except (KeyError, ValueError) as exc:
+        return _usage_error(exc)
+    workers = _workers(args, study)
+    print(f"{len(study.specs)} run(s): {len(controllers)} controller(s) x "
+          f"{len(scenarios)} cell(s) x {len(seeds)} seed(s), "
+          f"{workers} worker(s)")
+    result = _run(args, study, partial(merge_bakeoff, config), workers)
+    return _finish(args, result, result.render())
 
 
 def cmd_cop(args: argparse.Namespace) -> int:
@@ -588,17 +591,14 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.export import export_campaign_json
     from repro.analysis.reporting import render_campaign_report
-    from repro.runtime.pool import default_worker_count
     from repro.workloads.campaign import (
         CampaignExecutionError,
+        campaign_study,
         filter_cells,
         full_campaign_config,
+        merge_campaign,
         quick_campaign_config,
-        run_campaign,
     )
 
     if args.trace and not args.telemetry:
@@ -613,74 +613,44 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         overrides["warmup_minutes"] = args.warmup_minutes
     if args.controller != "pid":
         overrides["controller"] = args.controller
-    if overrides:
+    cells = config.cells
+    try:
+        if args.only:
+            cells = filter_cells(cells, args.only)
+        if args.cells:
+            by_name = {cell.name: cell for cell in cells}
+            wanted = _names(args.cells)
+            unknown = [name for name in wanted if name not in by_name]
+            if unknown:
+                raise ValueError(
+                    f"unknown campaign cell(s): {', '.join(unknown)}; "
+                    f"available: {', '.join(by_name)}")
+            cells = [by_name[name] for name in wanted]
         # replace() re-runs CampaignConfig validation, so a warmup that
-        # no longer fits the shortened run fails here, not mid-campaign.
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.only:
-        try:
-            config.cells = filter_cells(config.cells, args.only)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.cells:
-        wanted = [name.strip() for name in args.cells.split(",")
-                  if name.strip()]
-        by_name = {cell.name: cell for cell in config.cells}
-        unknown = [name for name in wanted if name not in by_name]
-        if unknown:
-            print(f"unknown campaign cell(s): {', '.join(unknown)}; "
-                  f"available: {', '.join(by_name)}", file=sys.stderr)
-            return 2
-        config.cells = [by_name[name] for name in wanted]
-    workers = (default_worker_count(len(config.cells) + 1)
-               if args.workers is None else args.workers)
+        # no longer fits the shortened run, or a repeated cell, fails
+        # here, not mid-campaign.
+        config = dataclasses.replace(config, cells=cells, **overrides)
+    except ValueError as exc:
+        return _usage_error(exc)
+    study = campaign_study(config, telemetry=args.telemetry is not None,
+                           trace=args.trace)
+    workers = _workers(args, study)
     print(f"{len(config.cells)} cells + baseline, {workers} worker(s)")
     try:
-        result = run_campaign(
-            config, progress=lambda m: print(f"  {m}", flush=True),
-            workers=workers, timeout_s=args.timeout_s,
-            telemetry_dir=args.telemetry, trace=args.trace)
+        result = _run(args, study, partial(merge_campaign, config),
+                      workers)
     except CampaignExecutionError as exc:
         print(f"campaign aborted: {exc}", file=sys.stderr)
         return 1
-    report = render_campaign_report(result)
-    print()
-    print(report)
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        export_campaign_json(result, args.json_path)
-        print(f"wrote JSON to {args.json_path}")
-    status = 0
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
-        status = 1
-    failed = [cell.cell.name for cell in result.cells
-              if cell.graceful is False]
-    if failed:
-        print(f"single-crash cells exceeding the graceful bound: "
-              f"{', '.join(failed)}")
-        status = 1
-    return status
+    return _finish(args, result, render_campaign_report(result), [(
+        "single-crash cells exceeding the graceful bound",
+        [cell.cell.name for cell in result.cells
+         if cell.graceful is False], True)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.export import export_sweep_json
     from repro.analysis.reporting import render_sweep_report
-    from repro.runtime.pool import default_worker_count
-    from repro.runtime.progress import ProgressPrinter
-    from repro.workloads.sweep import SweepConfig, run_sweep
+    from repro.workloads.sweep import SweepConfig, merge_sweep, sweep_study
 
     if args.trace and not args.telemetry:
         print("--trace requires --telemetry", file=sys.stderr)
@@ -695,114 +665,56 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              controller=args.controller,
                              lockstep_batch=args.lockstep_batch)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    from repro.workloads.sweep import _expected_payloads
-    jobs = _expected_payloads(config)
-    workers = (default_worker_count(jobs) if args.workers is None
-               else args.workers)
-    if config.lockstep_batch is None:
-        print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}), "
-              f"{config.run_minutes:g} min each, {workers} worker(s)")
-    else:
-        print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}) "
-              f"in {jobs} lockstep group(s) of up to "
-              f"{config.lockstep_batch}, {config.run_minutes:g} min each, "
-              f"{workers} worker(s)")
-    result = run_sweep(config, workers=workers, timeout_s=args.timeout_s,
-                       progress=ProgressPrinter(jobs),
-                       telemetry_dir=args.telemetry, trace=args.trace)
-    report = render_sweep_report(result)
-    print()
-    print(report)
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        export_sweep_json(result, args.json_path)
-        print(f"wrote JSON to {args.json_path}")
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"replicates that failed to execute: {names}")
-        return 1
-    return 0
+        return _usage_error(exc)
+    study = sweep_study(config, telemetry=args.telemetry is not None,
+                        trace=args.trace)
+    workers = _workers(args, study)
+    shape = f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]})"
+    if config.lockstep_batch is not None:
+        shape += (f" in {len(study.specs)} lockstep group(s) of up to "
+                  f"{config.lockstep_batch}")
+    print(f"{shape}, {config.run_minutes:g} min each, {workers} worker(s)")
+    result = _run(args, study, partial(merge_sweep, config), workers)
+    return _finish(args, result, render_sweep_report(result))
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.analysis.reporting import render_chaos_report
-    from repro.runtime.pool import default_worker_count
     from repro.workloads.chaos import (
         ChaosConfig,
         HazardConfig,
+        chaos_study,
+        merge_chaos,
         quick_hazard,
-        run_chaos,
     )
 
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    controllers = tuple(name.strip()
-                        for name in args.controllers.split(",")
-                        if name.strip())
     try:
         hazard = (quick_hazard() if args.hazard == "quick"
                   else HazardConfig())
         if args.rate_scale != 1.0:
             hazard = hazard.scaled(args.rate_scale)
         config = ChaosConfig(scenario=args.scenario, hours=args.hours,
-                             seeds=seeds, controllers=controllers,
+                             seeds=seeds,
+                             controllers=_names(args.controllers),
                              window_minutes=args.window_minutes,
                              warmup_minutes=args.warmup_minutes,
                              hazard=hazard, trace=args.trace)
-        # Resolve the scenario (and its network mode) before any run
+        # Resolves the scenario (and its network mode) before any run
         # starts, so a typo or a direct-mode base fails immediately.
-        from repro.workloads.chaos import chaos_specs
-        chaos_specs(config)
+        study = chaos_study(config)
     except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    runs = len(seeds) * len(controllers)
-    workers = (default_worker_count(runs) if args.workers is None
-               else args.workers)
-    print(f"{runs} endurance run(s) ({args.hours:g} h each, scenario "
-          f"{config.scenario}), {workers} worker(s)")
-    result = run_chaos(config,
-                       progress=lambda m: print(f"  {m}", flush=True),
-                       workers=workers, timeout_s=args.timeout_s,
-                       jsonl_path=args.jsonl,
-                       telemetry_dir=args.telemetry)
-    report = render_chaos_report(result)
-    print()
-    print(report)
+        return _usage_error(exc)
+    workers = _workers(args, study)
+    print(f"{len(study.specs)} endurance run(s) ({args.hours:g} h each, "
+          f"scenario {config.scenario}), {workers} worker(s)")
+    result = _run(args, study, partial(merge_chaos, config), workers)
     if args.jsonl:
+        result.write_jsonl(args.jsonl)
         print(f"streamed SLO rows to {args.jsonl}")
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        out = Path(args.json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(result.report_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote JSON to {args.json_path}")
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
-        return 1
-    breached = [run.label for run in result.runs
-                if not run.report.passed]
-    if breached:
-        print(f"runs missing their SLO budgets: {', '.join(breached)}")
-        if args.strict:
-            return 1
-    return 0
+    breached = [run.label for run in result.runs if not run.report.passed]
+    return _finish(args, result, render_chaos_report(result), [
+        ("runs missing their SLO budgets", breached, args.strict)])
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -825,7 +737,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.analysis.dataage import diff_summaries, summarize_dataage
     from repro.analysis.reporting import render_table
@@ -898,13 +809,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"\nwrote Chrome trace to {out} "
               "(open in chrome://tracing or ui.perfetto.dev)")
     if args.save_summary:
-        out = Path(args.save_summary)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True,
-                      default=float)
-            handle.write("\n")
-        print(f"wrote data-age summary to {out}")
+        write_json(summary, args.save_summary)
+        print(f"wrote data-age summary to {args.save_summary}")
     if args.diff:
         try:
             with open(args.diff, "r", encoding="utf-8") as handle:

@@ -1,11 +1,13 @@
 """Tests for the fault-campaign runner (repro.workloads.campaign)."""
 
+import json
+
 import pytest
 
+from repro.runtime.spec import shift_fault
 from repro.workloads.campaign import (
     CampaignCell,
     CampaignConfig,
-    _shift,
     full_matrix,
     quick_matrix,
     run_campaign,
@@ -76,16 +78,16 @@ class TestConfigValidation:
 class TestShift:
     def test_shift_preserves_relative_offsets(self):
         stuck = SensorStuck(30.0, "d", 1.0, until=90.0)
-        shifted = _shift(stuck, 1000.0)
+        shifted = shift_fault(stuck, 1000.0)
         assert shifted.time == 1030.0
         assert shifted.until == 1090.0
-        jam = _shift(ChannelJam(10.0, 20.0, duty=0.4), 1000.0)
+        jam = shift_fault(ChannelJam(10.0, 20.0, duty=0.4), 1000.0)
         assert (jam.start, jam.end, jam.duty) == (1010.0, 1020.0, 0.4)
-        crash = _shift(NodeCrash(5.0, "d"), 1000.0)
+        crash = shift_fault(NodeCrash(5.0, "d"), 1000.0)
         assert crash.time == 1005.0
 
     def test_shift_keeps_permanent_faults_permanent(self):
-        drift = _shift(SensorDrift(30.0, "d", 1.0), 500.0)
+        drift = shift_fault(SensorDrift(30.0, "d", 1.0), 500.0)
         assert drift.until is None
 
 
@@ -122,14 +124,11 @@ class TestRunCampaign:
 
 class TestReportRendering:
     def test_json_round_trip(self, tmp_path):
-        from repro.analysis.export import (
-            export_campaign_json,
-            load_campaign_json,
-        )
+        from repro.analysis.export import write_json
         result = run_campaign(mini_config())
         path = tmp_path / "campaign.json"
-        export_campaign_json(result, str(path))
-        loaded = load_campaign_json(str(path))
+        write_json(result.report_dict(), str(path))
+        loaded = json.loads(path.read_text())
         assert loaded["seed"] == 7
         assert [c["name"] for c in loaded["cells"]] == ["crash", "stick"]
         assert loaded["baseline_hash"] == result.baseline_hash

@@ -1,6 +1,7 @@
 """Tests for multi-seed sweeps (repro.workloads.sweep)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -100,15 +101,12 @@ class TestRunSweep:
         assert "mean" in report
 
     def test_sweep_json_round_trip(self, tmp_path):
-        from repro.analysis.export import (
-            export_sweep_json,
-            load_sweep_json,
-        )
+        from repro.analysis.export import write_json
 
         result = run_sweep(mini_sweep())
         path = tmp_path / "sweep.json"
-        export_sweep_json(result, str(path))
-        loaded = load_sweep_json(str(path))
+        write_json(result.report_dict(), str(path))
+        loaded = json.loads(path.read_text())
         assert loaded["seeds"] == [1, 2]
         assert [r["label"] for r in loaded["runs"]] == ["seed-1", "seed-2"]
         assert loaded["aggregates"].keys() == result.aggregates.keys()
@@ -193,7 +191,8 @@ class TestLockstepSweep:
                 solo.metrics["energy_j"], rel=1e-2)
 
     def test_lockstep_manifest_and_report_record_batch(self):
-        from repro.workloads.sweep import sweep_manifest
+        from repro.obs.manifest import config_hash
+        from repro.workloads.sweep import sweep_study
 
         result = run_sweep(lockstep_sweep())
         assert result.report_dict()["lockstep_batch"] == 2
@@ -201,4 +200,4 @@ class TestLockstepSweep:
         # is distinguishable from the per-seed sweep it reproduces.
         plain = dataclasses.replace(lockstep_sweep(), lockstep_batch=None)
         assert (result.manifest["config_hash"]
-                != sweep_manifest(plain)["config_hash"])
+                != config_hash(sweep_study(plain).config_dict))
