@@ -7,7 +7,7 @@ contract, and :mod:`repro.runtime.progress` for progress events.
 """
 
 from repro.runtime.pool import default_worker_count, run_specs
-from repro.runtime.progress import ProgressEvent, ProgressPrinter
+from repro.runtime.progress import ProgressEvent
 from repro.runtime.spec import (
     RunFailure,
     RunResult,
@@ -22,7 +22,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "ProgressEvent",
-    "ProgressPrinter",
     "default_worker_count",
     "execute_spec",
     "paper_metrics",

@@ -1,9 +1,9 @@
 """Progress reporting for pooled run execution.
 
 The pool emits one :class:`ProgressEvent` per lifecycle transition of
-each spec (started, finished, retried, failed).  Consumers either pass
-a plain callable straight through or use :class:`ProgressPrinter`,
-which renders ``[done/total]`` counter lines suitable for a terminal.
+each spec (started, finished, retried, failed) to a plain callable;
+:func:`repro.workloads.study.run_study` turns the first start of each
+spec into that spec's progress line.
 
 Events arrive in *completion* order, which under a parallel pool is
 not spec order — progress output is advisory, and nothing derived from
@@ -36,48 +36,6 @@ class ProgressEvent:
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
-
-
-def _default_write(line: str) -> None:
-    """Write one progress line to stdout and flush immediately.
-
-    Resolves ``sys.stdout`` at call time (not at printer construction)
-    so output still lands correctly under pytest's capture swaps or a
-    caller re-binding stdout mid-campaign, and flushes per event so a
-    pipe or CI log shows progress live rather than on buffer fill.
-    """
-    import sys
-    stream = sys.stdout
-    stream.write(line + "\n")
-    stream.flush()
-
-
-class ProgressPrinter:
-    """Render pool progress as counter-prefixed terminal lines."""
-
-    def __init__(self, total: int,
-                 write: Optional[Callable[[str], None]] = None) -> None:
-        self.total = total
-        self.done = 0
-        self._write = write or _default_write
-
-    def __call__(self, event: ProgressEvent) -> None:
-        if event.kind == STARTED:
-            self._write(f"  [{self.done}/{self.total}] "
-                        f"start {event.label}")
-        elif event.kind == FINISHED:
-            self.done += 1
-            wall = ("" if event.wall_s is None
-                    else f" ({event.wall_s:.1f}s)")
-            self._write(f"  [{self.done}/{self.total}] "
-                        f"done {event.label}{wall}")
-        elif event.kind == RETRIED:
-            self._write(f"  retry {event.label} "
-                        f"(attempt {event.attempt + 1}): {event.detail}")
-        elif event.kind == FAILED:
-            self.done += 1
-            self._write(f"  [{self.done}/{self.total}] "
-                        f"FAILED {event.label}: {event.detail}")
 
 
 def emit(progress: Optional[ProgressCallback],

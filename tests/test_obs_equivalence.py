@@ -228,14 +228,3 @@ class TestPoolTee:
             (WORKER_STARTED, "seed-1"), (WORKER_FINISHED, "seed-1"),
             (WORKER_STARTED, "seed-2"), (WORKER_FINISHED, "seed-2")]
         assert validate_records(ordered) == []
-
-
-class TestProgressPrinter:
-    def test_default_write_flushes_to_current_stdout(self, capsys):
-        from repro.runtime.progress import ProgressEvent, ProgressPrinter
-        printer = ProgressPrinter(total=1)
-        printer(ProgressEvent("started", 0, "cell-a"))
-        printer(ProgressEvent("finished", 0, "cell-a", wall_s=0.5))
-        out = capsys.readouterr().out
-        assert "[0/1] start cell-a" in out
-        assert "[1/1] done cell-a (0.5s)" in out

@@ -17,7 +17,6 @@ import pytest
 from repro.core.config import BubbleZeroConfig
 from repro.runtime import (
     ProgressEvent,
-    ProgressPrinter,
     RunFailure,
     RunResult,
     RunSpec,
@@ -25,7 +24,7 @@ from repro.runtime import (
     execute_spec,
     run_specs,
 )
-from repro.runtime.progress import FAILED, FINISHED, RETRIED, STARTED, emit
+from repro.runtime.progress import FINISHED, RETRIED, STARTED, emit
 
 
 def tiny_spec(label="run", seed=3, inject=None, run_minutes=1.0):
@@ -212,17 +211,6 @@ class TestCampaignFailureHandling:
 
 
 class TestProgress:
-    def test_printer_renders_counts(self):
-        lines = []
-        printer = ProgressPrinter(total=2, write=lines.append)
-        printer(ProgressEvent(STARTED, 0, "a"))
-        printer(ProgressEvent(FINISHED, 0, "a", wall_s=0.5))
-        printer(ProgressEvent(RETRIED, 1, "b", attempt=0, detail="crash"))
-        printer(ProgressEvent(FAILED, 1, "b", attempt=1, detail="boom"))
-        assert any("[1/2]" in line for line in lines)
-        assert any("retry" in line for line in lines)
-        assert any("FAILED" in line for line in lines)
-
     def test_emit_swallows_callback_errors(self):
         def bad_callback(event):
             raise RuntimeError("listener bug")
