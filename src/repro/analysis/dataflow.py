@@ -8,16 +8,19 @@ and consumer").  Rather than hard-coding that figure, this module
 subscriptions.  The result is a ``networkx.DiGraph`` whose edges are
 (supplier, consumer, data type) triples, plus a text rendering — so a
 refactor that silently breaks a control loop's data supply shows up as
-a missing edge.
+a missing edge.  networkx is imported by :func:`extract_dataflow`, the
+one function that builds a graph, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.net.packet import DataType
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def extract_dataflow(system) -> nx.DiGraph:
@@ -29,6 +32,7 @@ def extract_dataflow(system) -> nx.DiGraph:
     """
     if system.sniffer is None:
         raise ValueError("dataflow extraction needs a networked run")
+    import networkx as nx
 
     supplied = system.sniffer.frame_counts()
 

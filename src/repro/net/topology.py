@@ -9,16 +9,28 @@ deployment generators (a corridor of BubbleZERO-like rooms).
 
 Connectivity is disk-graph: two nodes hear each other iff their distance
 is at most the radio range.  The graph is held as a ``networkx.Graph``
-so routing layers can run standard algorithms on it.
+so routing layers can run standard algorithms on it.  networkx is
+imported inside the methods that build or search that graph, so
+importing this module (and ``repro`` with it) does not load networkx;
+the first :class:`RadioTopology` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -36,6 +48,8 @@ class NodePlacement:
 class RadioTopology:
     """Disk-graph connectivity over a set of placements."""
 
+    graph: nx.Graph
+
     def __init__(self, placements: Sequence[NodePlacement],
                  radio_range_m: float) -> None:
         if radio_range_m <= 0:
@@ -46,6 +60,8 @@ class RadioTopology:
         self.radio_range_m = radio_range_m
         self._placements: Dict[str, NodePlacement] = {
             p.node_id: p for p in placements}
+        import networkx as nx
+
         self.graph = nx.Graph()
         for p in placements:
             self.graph.add_node(p.node_id, pos=(p.x, p.y))
@@ -73,10 +89,14 @@ class RadioTopology:
         return self.graph.has_edge(a, b)
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def hop_distance(self, a: str, b: str) -> Optional[int]:
         """Shortest hop count between two nodes, or None if partitioned."""
+        import networkx as nx
+
         try:
             return nx.shortest_path_length(self.graph, a, b)
         except nx.NetworkXNoPath:
@@ -85,6 +105,8 @@ class RadioTopology:
     def diameter_hops(self) -> int:
         if not self.is_connected():
             raise ValueError("topology is partitioned")
+        import networkx as nx
+
         return nx.diameter(self.graph)
 
     def steiner_tree_edges(self, terminals: Iterable[str]
@@ -99,6 +121,8 @@ class RadioTopology:
         terminals = sorted(set(terminals))
         if len(terminals) < 2:
             return []
+        import networkx as nx
+
         subgraph_nodes = set()
         root = terminals[0]
         for terminal in terminals[1:]:

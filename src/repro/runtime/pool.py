@@ -27,6 +27,16 @@ Design decisions, in order of importance:
   Exceptions raised *inside* a run are deterministic and are recorded
   as failures without retry.
 
+* **Lifecycle.**  A worker is spawned only for a slot that has a task
+  to run: the initial pool is capped at the spec count, and a crashed
+  or timed-out worker is replaced only when a pending task (its own
+  retry or another spec) needs the slot.  When every slot is decided,
+  one stop phase sends the stop message to every idle worker, then
+  joins them all under one deadline before escalating to terminate and
+  kill.  A worker answers the stop with flushed stdio and
+  ``os._exit(0)``, skipping interpreter teardown: every reply is
+  already in its pipe and it owns no files or telemetry.
+
 ``workers=1`` executes in-process (no pool, no spawn overhead) with
 identical merge semantics — the reference path the parallel result is
 tested against.
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import sys
 import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
@@ -63,6 +74,10 @@ DEFAULT_START_METHOD = "spawn"
 
 # How long the multiplex wait may block between liveness checks.
 _POLL_S = 0.25
+
+# How long to wait for a stopped or terminated worker to exit before
+# escalating.
+_STOP_S = 2.0
 
 RunPayload = Union[RunResult, BatchRunResult, RunFailure]
 
@@ -150,14 +165,17 @@ def _run_serial(specs: List[RunSpec],
 def _worker_main(conn) -> None:
     """Worker loop: receive ``(index, attempt, spec)``, reply with
     ``(index, "ok", RunResult, None)`` or ``(index, "error", None,
-    message)``.  ``None`` or a closed pipe shuts the worker down."""
+    message)``.  ``None`` exits the process at once with code 0; a
+    closed pipe returns."""
     while True:
         try:
             message = conn.recv()
         except (EOFError, KeyboardInterrupt):  # pragma: no cover
             return
         if message is None:
-            return
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(0)
         index, attempt, spec = message
         try:
             reply = (index, "ok", execute_spec(spec, attempt=attempt), None)
@@ -189,27 +207,36 @@ class _Worker:
         self.deadline = (None if timeout_s is None
                          else time.monotonic() + timeout_s)
 
-    def shutdown(self) -> None:
-        """Polite stop for idle workers; escalates if ignored."""
-        try:
-            self.conn.send(None)
-        except (OSError, BrokenPipeError):
-            pass
-        self.conn.close()
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-
     def kill(self) -> None:
-        """Hard stop for crashed or timed-out workers."""
+        """Hard stop for crashed, timed-out or unresponsive workers."""
         self.conn.close()
         if self.process.is_alive():
             self.process.terminate()
-            self.process.join(timeout=2.0)
+            self.process.join(timeout=_STOP_S)
         if self.process.is_alive():  # pragma: no cover
             self.process.kill()
-            self.process.join(timeout=2.0)
+            self.process.join(timeout=_STOP_S)
+
+
+def _stop_workers(workers: List[_Worker]) -> None:
+    """The pool's one stop phase.
+
+    Every idle worker is sent the stop message before any is joined, so
+    all of them exit concurrently; busy workers (only on a parent
+    exception) and any worker still alive at the shared deadline are
+    killed.
+    """
+    idle = [w for w in workers if w.task is None]
+    for worker in idle:
+        try:
+            worker.conn.send(None)
+        except (OSError, BrokenPipeError):
+            pass
+    deadline = time.monotonic() + _STOP_S
+    for worker in idle:
+        worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
+    for worker in workers:
+        worker.kill()
 
 
 def _run_pooled(specs: List[RunSpec], workers: int,
@@ -220,14 +247,16 @@ def _run_pooled(specs: List[RunSpec], workers: int,
     n = len(specs)
     results: List[Optional[RunPayload]] = [None] * n
     pending = deque((index, 0) for index in range(n))
-    pool: List[_Worker] = [_Worker(ctx) for _ in range(workers)]
+    # A slot holds None once its worker is lost; it is refilled only
+    # when a pending task needs it.
+    pool: List[Optional[_Worker]] = [_Worker(ctx) for _ in range(workers)]
 
     def lose_task(slot: int, kind: str, message: str) -> None:
         """A worker died or was timed out while holding a task."""
         worker = pool[slot]
         index, attempt = worker.task
         worker.kill()
-        pool[slot] = _Worker(ctx)
+        pool[slot] = None
         if attempt < retries:
             pending.appendleft((index, attempt + 1))
             emit(progress, ProgressEvent(RETRIED, index,
@@ -262,29 +291,32 @@ def _run_pooled(specs: List[RunSpec], workers: int,
                                          attempt=attempt, detail=error))
 
     try:
-        while pending or any(w.task is not None for w in pool):
-            # Feed idle (respawning dead-idle) workers.
+        while pending or any(w is not None and w.task is not None
+                             for w in pool):
+            # Feed pending tasks to idle slots, spawning a worker into
+            # an empty slot or in place of a dead idle one.
             for slot, worker in enumerate(pool):
-                if worker.task is not None:
-                    continue
-                if not worker.process.is_alive():
-                    worker.kill()
-                    pool[slot] = worker = _Worker(ctx)
                 if not pending:
+                    break
+                if worker is not None and worker.task is not None:
                     continue
+                if worker is None or not worker.process.is_alive():
+                    if worker is not None:
+                        worker.kill()
+                    pool[slot] = worker = _Worker(ctx)
                 index, attempt = pending.popleft()
                 try:
                     worker.assign(index, attempt, specs[index], timeout_s)
                 except (OSError, BrokenPipeError):  # pragma: no cover
                     pending.appendleft((index, attempt))
                     worker.kill()
-                    pool[slot] = _Worker(ctx)
+                    pool[slot] = None
                     continue
                 emit(progress, ProgressEvent(STARTED, index,
                                              specs[index].label,
                                              attempt=attempt))
             busy = [(slot, w) for slot, w in enumerate(pool)
-                    if w.task is not None]
+                    if w is not None and w.task is not None]
             if not busy:  # pragma: no cover - pending implies assignable
                 continue
             now = time.monotonic()
@@ -323,11 +355,7 @@ def _run_pooled(specs: List[RunSpec], workers: int,
                               f"run exceeded {timeout_s:g}s "
                               f"(attempt {worker.task[1] + 1})")
     finally:
-        for worker in pool:
-            if worker.task is None:
-                worker.shutdown()
-            else:  # pragma: no cover - only on parent exceptions
-                worker.kill()
+        _stop_workers([w for w in pool if w is not None])
     undecided = [index for index, payload in enumerate(results)
                  if payload is None]
     if undecided:  # pragma: no cover - the loop exits only when complete

@@ -10,10 +10,17 @@ workload the campaign suite scores.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
+import repro.runtime.pool as pool_module
 from repro.core.config import BubbleZeroConfig
 from repro.runtime import (
     ProgressEvent,
@@ -155,6 +162,85 @@ class TestPooledExecution:
         assert failure.kind == "timeout"
         assert failure.attempts == 1
         assert isinstance(payloads[1], RunResult)
+
+
+class TestPoolLifecycle:
+    @pytest.fixture
+    def stopped(self, monkeypatch):
+        """Every worker handed to the stop phase."""
+        workers = []
+        real_stop = pool_module._stop_workers
+
+        def spy(pool):
+            workers.extend(pool)
+            real_stop(pool)
+
+        monkeypatch.setattr(pool_module, "_stop_workers", spy)
+        return workers
+
+    def test_lost_worker_not_replaced_without_pending_task(
+            self, monkeypatch):
+        spawned = []
+
+        class CountingWorker(pool_module._Worker):
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                spawned.append(self)
+
+        monkeypatch.setattr(pool_module, "_Worker", CountingWorker)
+        payloads = run_specs([tiny_spec("doomed", inject="crash"),
+                              tiny_spec("steady")], workers=2, retries=0)
+        assert isinstance(payloads[0], RunFailure)
+        assert isinstance(payloads[1], RunResult)
+        assert len(spawned) == 2
+
+    @pytest.mark.parametrize("inject", [None, "crash-below-attempt:1"])
+    def test_stop_phase_leaves_no_children(self, stopped, inject):
+        payloads = run_specs([tiny_spec("first", inject=inject),
+                              tiny_spec("second")], workers=2)
+        assert all(isinstance(p, RunResult) for p in payloads)
+        assert multiprocessing.active_children() == []
+        assert len(stopped) == 2
+        assert [w.process.exitcode for w in stopped] == [0, 0]
+
+
+class TestImportBudget:
+    def test_run_path_never_loads_networkx(self):
+        # A fresh interpreter, so modules other tests imported do not
+        # count.  Graph users still load networkx on first use.
+        script = textwrap.dedent("""
+            import dataclasses
+            import pickle
+            import sys
+
+            import repro
+            import repro.runtime.pool
+            import repro.workloads.study
+            from repro.runtime.spec import RunSpec, execute_spec
+            from repro.scenarios.registry import get_scenario
+
+            scenario = dataclasses.replace(get_scenario("paper-va"),
+                                           run_minutes=1.0,
+                                           warmup_minutes=0.0)
+            spec = pickle.loads(pickle.dumps(
+                RunSpec(label="budget", scenario=scenario)))
+            assert execute_spec(spec).events > 0
+            assert "networkx" not in sys.modules, "run loaded networkx"
+
+            from repro.net import NodePlacement, RadioTopology
+
+            topology = RadioTopology([NodePlacement("a", 0.0, 0.0),
+                                      NodePlacement("b", 5.0, 0.0)], 10.0)
+            assert topology.is_connected()
+            assert "networkx" in sys.modules
+        """)
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCampaignByteIdentity:
