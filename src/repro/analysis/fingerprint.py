@@ -61,6 +61,28 @@ def discrete_log_hash(system) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
+def state_digest(system) -> str:
+    """SHA-256 over the run's final physical state, to the last bit.
+
+    Hashes the ``repr`` of each zone's (temperature, humidity ratio,
+    CO2), both tank temperatures and the sorted meter snapshot, every
+    value as a Python float so the digest does not depend on which
+    physics path stored it.  ``repr`` round-trips a float exactly, so a
+    one-ULP change anywhere changes the digest.  This is what an
+    identity gate between two physics paths must compare:
+    :func:`discrete_log_hash` covers only discrete counters, which are
+    the same constant on every radio-off run.
+    """
+    plant = system.plant
+    zones = [(float(s.state.temp_c), float(s.state.humidity_ratio),
+              float(s.state.co2_ppm)) for s in plant.room.subspaces]
+    tanks = (float(plant.radiant_tank.temp_c), float(plant.vent_tank.temp_c))
+    meters = sorted((key, float(value))
+                    for key, value in plant.meter_snapshot().items())
+    record = repr((zones, tanks, meters)).encode()
+    return hashlib.sha256(record).hexdigest()
+
+
 def trajectory_fingerprint(system,
                            stride: int = DEFAULT_STRIDE) -> Dict[str, object]:
     """Downsampled continuous series plus the discrete log hash."""

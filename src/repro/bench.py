@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 from dataclasses import replace
 
-from repro.analysis.fingerprint import discrete_log_hash
+from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import prepare_run
 
@@ -333,6 +333,7 @@ def run_grid_trial(zones: int, vector: bool,
         "events_per_s": events / wall_s,
         "zone_events_per_s": zones * events / wall_s,
         "discrete_hash": discrete_log_hash(system),
+        "state_digest": state_digest(system),
         "mean_temp_c": system.plant.room.mean_temp_c(),
         "solver": spec.config.physics_solver,
         "spectral_cache": stats,
@@ -346,9 +347,9 @@ def run_grid_section(zone_counts: List[int],
 
     For each zone count the ``grid-<zones>`` scenario runs on both
     physics paths (best-of-``repeat`` wall clocks).  The two paths must
-    produce identical discrete log hashes — the SoA core is bit-exact,
-    so any mismatch raises rather than reporting a speedup over
-    different physics.  A lockstep seed-replication batch
+    end in the same :func:`~repro.analysis.fingerprint.state_digest` —
+    the SoA core is bit-exact, so any mismatch raises rather than
+    reporting a speedup over different physics.  A lockstep seed-replication batch
     (:class:`repro.runtime.lockstep.LockstepBatch`) then stacks
     ``batch_seeds`` replicas of the same scenario; its headline number
     is events-per-second *equivalent* — batch size times the master's
@@ -370,20 +371,20 @@ def run_grid_section(zone_counts: List[int],
         vector = min((run_grid_trial(zones, vector=True)
                       for _ in range(repeat)),
                      key=lambda r: r["wall_s"])
-        if scalar["discrete_hash"] != vector["discrete_hash"]:
+        if scalar["state_digest"] != vector["state_digest"]:
             raise RuntimeError(
                 f"grid-{zones}: vector path diverged from scalar "
-                f"(discrete hashes differ) — the SoA core must be "
+                f"(state digests differ) — the SoA core must be "
                 f"bit-exact")
         nocache = None
         if zones <= NOCACHE_MAX_ZONES:
             nocache = min((run_grid_trial(zones, vector=True, cache=False)
                            for _ in range(repeat)),
                           key=lambda r: r["wall_s"])
-            if nocache["discrete_hash"] != vector["discrete_hash"]:
+            if nocache["state_digest"] != vector["state_digest"]:
                 raise RuntimeError(
                     f"grid-{zones}: disabling the spectral cache "
-                    f"changed the discrete hash — the cache must be "
+                    f"changed the state digest — the cache must be "
                     f"observationally invisible")
         spec = get_scenario(f"grid-{zones}")
         seeds = list(range(7, 7 + batch_seeds))
@@ -407,6 +408,7 @@ def run_grid_section(zone_counts: List[int],
             "vector_speedup": scalar["wall_s"] / vector["wall_s"],
             "hashes_equal": True,
             "discrete_hash": scalar["discrete_hash"],
+            "state_digest": scalar["state_digest"],
             "spectral_cache": vector["spectral_cache"],
             "batch": {
                 "seeds": batch_seeds,

@@ -147,31 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument("--hours", type=float, default=2.0)
     lifetime.add_argument("--seed", type=int, default=7)
 
-    bench = sub.add_parser(
-        "bench", help="time the paper trials (see repro.bench)")
-    bench.add_argument("--trial", choices=["hvac", "network", "all"],
-                       default="all")
-    bench.add_argument("--no-macro", action="store_true")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="best-of-N wall clock per trial")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="also run the parallel fan-out section with "
-                            "this many workers (0: skip)")
-    bench.add_argument("--grid", metavar="ZONES", default=None,
-                       help="also run the vector-core scaling section "
-                            "over these comma-separated grid sizes "
-                            "(e.g. 4,32,128)")
-    bench.add_argument("--grid-seeds", type=int, default=16,
-                       help="seed replicas in the grid section's "
-                            "lockstep batch")
-    bench.add_argument("--obs", action="store_true",
-                       help="also measure observability overhead: rerun "
-                            "the trials with telemetry on and assert "
-                            "<3%% wall-clock cost and identical hashes")
-    bench.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="write the instrumented trials' telemetry "
-                            "artifacts here (implies --obs)")
-    bench.add_argument("-o", "--output", default="BENCH_2.json")
+    # Every argument after ``bench`` goes to repro.bench unparsed, so the
+    # two entry points cannot drift apart.
+    sub.add_parser("bench", add_help=False,
+                   help="time the paper trials (same flags as repro.bench)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -720,19 +699,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import main as bench_main
 
-    forwarded = ["--trial", args.trial, "--output", args.output,
-                 "--repeat", str(args.repeat),
-                 "--workers", str(args.workers)]
-    if args.no_macro:
-        forwarded.append("--no-macro")
-    if args.grid:
-        forwarded.extend(["--grid", args.grid,
-                          "--grid-seeds", str(args.grid_seeds)])
-    if args.obs:
-        forwarded.append("--obs")
-    if args.telemetry:
-        forwarded.extend(["--telemetry", args.telemetry])
-    return bench_main(forwarded)
+    return bench_main(args.bench_argv)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -859,7 +826,12 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "bench":
+        args.bench_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {"run": cmd_run, "scenarios": cmd_scenarios,
                 "controllers": cmd_controllers, "bakeoff": cmd_bakeoff,
                 "cop": cmd_cop, "lifetime": cmd_lifetime,

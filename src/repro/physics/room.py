@@ -22,8 +22,8 @@ subdivides automatically if a larger dt is requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,7 +195,8 @@ class Room:
             s.air_mass_kg * params.moisture_buffer_factor
             for s in self.subspaces
         ]
-        # Macro-step machinery (see ``macro_step``): the symmetric
+        self._infil = np.array(self._infil_flows)
+        # Macro-step machinery (see ``solve_gaps``): the symmetric
         # coupling part of each quantity's system matrix and the row
         # scaling (thermal capacity, buffered water mass, air volume)
         # are state-independent, so both are assembled once.  Layout:
@@ -358,162 +359,148 @@ class Room:
                    inputs: Sequence[SubspaceInputs]) -> None:
         """Advance the room ``dt`` seconds in one closed-form step.
 
-        With the boundary ``inputs`` frozen, every balance integrated by
-        :meth:`_euler_step` is linear in its own state vector — the
-        subspace temperatures, humidity ratios and CO2 concentrations
-        each satisfy ``x' = A x + r`` with a constant 4x4 coupling
-        matrix ``A`` and forcing ``r``.  The exact solution over the
-        whole gap is
-
-            x(dt) = x_eq + exp(A dt) (x(0) - x_eq),   x_eq = -A^-1 r,
-
-        evaluated here through an eigendecomposition of ``A`` (the
-        matrix is strictly diagonally dominant with negative diagonal —
-        envelope and infiltration losses guarantee decay — so the
-        solve is well posed for the supported geometry).  This is the
-        macro-stepping fast path: one call replaces ``dt`` unit Euler
-        ticks when the scheduler finds an event-free gap.  It differs
-        from unit stepping only by the Euler truncation error of the
-        reference path itself.  The reference path clamps humidity
-        (>= 1e-5) and CO2 (>= half outdoor) once per tick; whenever the
-        closed-form trajectory touches either floor — probed at the
-        gap's start, midpoint and endpoint — the gap is handed back to
-        :meth:`step` so the clamp binds at the same tick it would on
-        the reference path.  Also falls back to :meth:`step` if the
-        linear algebra degenerates.
+        The one-room wrapper around :meth:`solve_gaps` (a batch of one):
+        the scalar plant and the tests call it with per-subspace input
+        boxes.  When the closed form does not hold for the gap — a clamp
+        floor binds or the algebra degenerates — the gap is integrated
+        through :meth:`step` instead, so it stays bit-identical to the
+        per-tick reference.
         """
         if len(inputs) != len(self.subspaces):
             raise ValueError(
                 f"expected {len(self.subspaces)} subspace inputs, "
                 f"got {len(inputs)}")
-        x0, diag, rhs = self._assemble_macro(outdoor, inputs)
-        new_state = self._solve_macro_gap(dt, x0, diag, rhs,
-                                          outdoor.co2_ppm * 0.5)
+        states = [s.state for s in self.subspaces]
+        x0 = np.array([[[st.temp_c for st in states],
+                         [st.humidity_ratio for st in states],
+                         [st.co2_ppm for st in states]]])
+        new, held = self.solve_gaps(
+            dt, x0, np.array([outdoor.temp_c]),
+            np.array([outdoor.humidity_ratio]), np.array([outdoor.co2_ppm]),
+            vent_flow=np.array([[u.vent_flow_m3s for u in inputs]]),
+            supply_temp=np.array([[u.vent_supply_temp_c for u in inputs]]),
+            supply_w=np.array([[u.vent_supply_w for u in inputs]]),
+            panel_heat=np.array([[u.panel_heat_w for u in inputs]]),
+            occupants=np.array([[u.occupants for u in inputs]]),
+            equipment=np.array([[u.equipment_w for u in inputs]]),
+            opening=np.array([[u.door_open_fraction for u in inputs]]))
         self.macro_gaps += 1
-        if new_state is None:
+        if not held[0]:
             self.macro_fallbacks += 1
             self.step(dt, outdoor, inputs)
             return
-        new_t, new_w, new_c = new_state
-        for i, subspace in enumerate(self.subspaces):
-            # float() keeps np.float64 out of the live state.  The
-            # conversion is value-exact, but the type matters: round()
-            # on np.float64 is not correctly rounded, so letting numpy
-            # scalars leak into the psychrometrics memo keys makes the
-            # trajectory depend on which path produced a value.
-            subspace.state = SubspaceState(float(new_t[i]), float(new_w[i]),
-                                           float(new_c[i]))
+        # tolist() keeps np.float64 out of the live state.  The
+        # conversion is value-exact, but the type matters: round() on
+        # np.float64 is not correctly rounded, so letting numpy scalars
+        # leak into the psychrometrics memo keys makes the trajectory
+        # depend on which path produced a value.
+        for subspace, t, w, c in zip(self.subspaces, *new[0].tolist()):
+            subspace.state = SubspaceState(t, w, c)
 
-    def _assemble_macro(self, outdoor: OutdoorState,
-                        inputs: Sequence[SubspaceInputs]
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Assemble the stacked linear systems for one macro gap.
+    def solve_gaps(self, dt: float, x0: np.ndarray, out_t: np.ndarray,
+                   out_w: np.ndarray, out_co2: np.ndarray, *,
+                   vent_flow, supply_temp, supply_w, panel_heat,
+                   occupants, equipment, opening
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed-form advance of ``B`` rooms of this structure over a gap.
 
-        Returns ``(x0, diag, rhs)`` as (3, n) arrays: the initial state,
-        the input-dependent diagonal losses and the (unscaled) forcing
-        of the three quantities.  The state-independent coupling pattern
-        lives in ``self._macro_base``.
+        With the boundary inputs frozen, every balance integrated by
+        :meth:`_euler_step` is linear in its own state vector — the
+        subspace temperatures, humidity ratios and CO2 concentrations
+        each satisfy ``x' = A x + r`` with a constant coupling matrix
+        ``A`` and forcing ``r``.  The exact solution over the gap is
+
+            x(dt) = x_eq + exp(A dt) (x(0) - x_eq),   x_eq = -A^-1 r,
+
+        evaluated through an eigendecomposition of ``A`` (strictly
+        diagonally dominant with negative diagonal — envelope and
+        infiltration losses guarantee decay — so the solve is well posed
+        for the supported geometry).  It differs from unit stepping only
+        by the Euler truncation error of the reference path itself.
+
+        Rows are independent rooms sharing this room's topology and
+        parameters: the scalar room (``B = 1``), the SoA kernel's zone
+        arrays (``B = 1``) or a lockstep batch's replicas.  ``x0`` is
+        ``(B, 3, n)`` (temperature, humidity ratio, CO2), the outdoor
+        terms are ``(B,)`` and every input column broadcasts against
+        ``(B, n)``.  ``rhs``/``diag`` repeat the per-zone expressions of
+        :meth:`_euler_step` split into their state-proportional and
+        constant parts, so a row's result does not depend on the batch
+        it rides in.  Rows with bit-equal diagonal losses share one
+        :func:`repro.physics.spectral.decomposition` lookup.
+
+        Returns ``(end, held)``: the ``(B, 3, n)`` end states and a
+        ``(B,)`` flag that is False where the closed form does not hold
+        — the decomposition degenerated, or the trajectory touches the
+        humidity (1e-5) or CO2 (half outdoor) floor that the reference
+        path clamps once per tick.  The caller must integrate those
+        rows per tick; their ``end`` rows carry no meaning.
         """
         params = self.params
-        subspaces = self.subspaces
-        n = len(subspaces)
-        outdoor_w = outdoor.humidity_ratio
-        outdoor_temp = outdoor.temp_c
-        outdoor_co2 = outdoor.co2_ppm
-        diag = np.zeros((3, n))
-        rhs = np.zeros((3, n))
-        x0 = np.empty((3, n))
         envelope_ua = params.envelope_ua_w_per_k
-        door_exchange = params.door_exchange_m3s
-        for i, subspace in enumerate(subspaces):
-            state = subspace.state
-            inp = inputs[i]
-            x0[0, i] = state.temp_c
-            x0[1, i] = state.humidity_ratio
-            x0[2, i] = state.co2_ppm
-            m_vent = inp.vent_flow_m3s * AIR_DENSITY
-            infil_flow = self._infil_flows[i]
-            door_flow = inp.door_open_fraction * door_exchange
-            m_exch = (infil_flow + door_flow) * AIR_DENSITY
-            # Sensible heat: the _euler_step balance split into the part
-            # proportional to the local state (diagonal loss) and the
-            # constant forcing.
-            diag[0, i] = envelope_ua + (m_vent + m_exch) * AIR_CP
-            rhs[0, i] = ((envelope_ua + m_exch * AIR_CP) * outdoor_temp
-                         + m_vent * AIR_CP * inp.vent_supply_temp_c
-                         + inp.occupants * OCCUPANT_SENSIBLE_W
-                         + inp.equipment_w - inp.panel_heat_w)
-            # Moisture.
-            diag[1, i] = m_vent + m_exch
-            rhs[1, i] = (m_vent * inp.vent_supply_w + m_exch * outdoor_w
-                         + inp.occupants * OCCUPANT_LATENT_KGS)
-            # CO2 (volumetric flows act on concentration directly).
-            g = inp.vent_flow_m3s + infil_flow + door_flow
-            diag[2, i] = g
-            rhs[2, i] = g * outdoor_co2 + inp.occupants * OCCUPANT_CO2_M3S * 1e6
-        return x0, diag, rhs
+        out_t = out_t[:, None]
+        out_w = out_w[:, None]
+        m_vent = vent_flow * AIR_DENSITY
+        door_flow = opening * params.door_exchange_m3s
+        m_exch = (self._infil + door_flow) * AIR_DENSITY
+        diag = np.empty(x0.shape)
+        rhs = np.empty(x0.shape)
+        # Sensible heat, moisture, CO2 (volumetric flows act on the
+        # concentration directly).
+        diag[:, 0] = envelope_ua + (m_vent + m_exch) * AIR_CP
+        rhs[:, 0] = ((envelope_ua + m_exch * AIR_CP) * out_t
+                     + m_vent * AIR_CP * supply_temp
+                     + occupants * OCCUPANT_SENSIBLE_W
+                     + equipment - panel_heat)
+        diag[:, 1] = m_vent + m_exch
+        rhs[:, 1] = (m_vent * supply_w + m_exch * out_w
+                     + occupants * OCCUPANT_LATENT_KGS)
+        g = vent_flow + self._infil + door_flow
+        diag[:, 2] = g
+        rhs[:, 2] = g * out_co2[:, None] + occupants * OCCUPANT_CO2_M3S * 1e6
+        rhs /= self._macro_scale
+        co2_floor = out_co2 * 0.5
 
-    def _macro_decomposition(self, diag: np.ndarray) -> Optional[tuple]:
-        """Eigendecomposition for a diagonal-loss vector, memoised.
-
-        Returns ``(a_inv, vals, vecs, vecs_inv)`` or ``None`` when the
-        linear algebra degenerates (caller falls back to per-tick
-        integration).  Memoisation lives in the shared spectral cache,
-        keyed on the exact diag bytes so a hit is bit-identical to a
-        fresh decomposition.
-        """
-        return spectral.decomposition(self._macro_key, diag,
-                                      self._macro_base,
-                                      self._macro_scale, self._solver)
-
-    def _solve_macro_gap(self, dt: float, x0: np.ndarray, diag: np.ndarray,
-                         rhs: np.ndarray, co2_floor: float
-                         ) -> Optional[np.ndarray]:
-        """Closed-form advance of one assembled gap; ``None`` = fall back.
-
-        ``rhs`` is the unscaled forcing from :meth:`_assemble_macro`;
-        the row scaling is applied here.  Returns the (3, n) end state,
-        or ``None`` when the decomposition degenerates or the trajectory
-        touches a clamp floor — in either case the caller must integrate
-        the gap through :meth:`step` so it stays bit-identical to the
-        per-tick reference.
-        """
-        rhs = rhs / self._macro_scale
-
-        decomp = self._macro_decomposition(diag)
-        if decomp is None:
-            return None
-        a_inv, vals, vecs, vecs_inv = decomp
-
-        # Exact solution of x' = A x + r over the gap:
-        #   x(dt) = x_eq + exp(A dt) (x0 - x_eq),   x_eq = -A^-1 r.
-        # Eigenvalues may come in complex-conjugate pairs for a general
-        # (non-symmetric) coupling matrix; the imaginary parts of the
-        # reconstructed state cancel and the real part is the answer.
-        x_eq = -(a_inv @ rhs[..., None])[..., 0]
-        y0 = vecs_inv @ (x0 - x_eq)[..., None].astype(vecs.dtype)
-        exp_vals = np.exp(vals * dt)
-        new_state = ((vecs @ (exp_vals[..., None] * y0))[..., 0] + x_eq).real
-
-        # The reference path applies the floor clamps once per tick, so
-        # a floor that binds anywhere inside the gap makes the unclamped
-        # closed form diverge from it.  Probe the trajectory at the
-        # gap's start (a state already pinned at a floor means the clamp
-        # is actively binding), midpoint and endpoint; on any touch,
-        # integrate this gap per tick instead.  The eigenvalues are real
-        # (the coupling matrix is similar to a symmetric one via the
-        # capacity scaling), so trajectories are sums of real
-        # exponentials and the three probes bracket any excursion the
-        # scheduler's gap lengths can produce.
-        mid_state = ((vecs @ (np.exp(vals * (0.5 * dt))[..., None] * y0))
-                     [..., 0] + x_eq).real
-        if (new_state[1].min() < 1e-5 or mid_state[1].min() < 1e-5
-                or x0[1].min() <= 1e-5
-                or new_state[2].min() < co2_floor
-                or mid_state[2].min() < co2_floor
-                or x0[2].min() <= co2_floor):
-            return None
-        return new_state
+        end = x0.copy()
+        held = np.zeros(len(x0), dtype=bool)
+        groups: Dict[bytes, List[int]] = {}
+        for k in range(len(x0)):
+            groups.setdefault(diag[k].tobytes(), []).append(k)
+        for members in groups.values():
+            decomp = spectral.decomposition(self._macro_key, diag[members[0]],
+                                            self._macro_base,
+                                            self._macro_scale, self._solver)
+            if decomp is None:
+                continue
+            a_inv, vals, vecs, vecs_inv = decomp
+            sel = np.array(members)
+            x0_g = x0[sel]
+            # Eigenvalues may come in complex-conjugate pairs for a
+            # general coupling matrix; the imaginary parts of the
+            # reconstructed state cancel and the real part is the answer.
+            x_eq = -(a_inv @ rhs[sel][..., None])[..., 0]
+            y0 = vecs_inv @ (x0_g - x_eq)[..., None].astype(vecs.dtype)
+            new = ((vecs @ (np.exp(vals * dt)[..., None] * y0))
+                   [..., 0] + x_eq).real
+            mid = ((vecs @ (np.exp(vals * (0.5 * dt))[..., None] * y0))
+                   [..., 0] + x_eq).real
+            # A floor that binds anywhere inside the gap makes the
+            # unclamped closed form diverge from the reference.  Probe
+            # the start (a state already pinned at a floor means the
+            # clamp is actively binding), midpoint and endpoint.  The
+            # eigenvalues are real (the coupling matrix is similar to a
+            # symmetric one via the capacity scaling), so trajectories
+            # are sums of real exponentials and the three probes bracket
+            # any excursion the scheduler's gap lengths can produce.
+            floor = co2_floor[sel]
+            held[sel] = ((new[:, 1].min(axis=1) >= 1e-5)
+                         & (mid[:, 1].min(axis=1) >= 1e-5)
+                         & (x0_g[:, 1].min(axis=1) > 1e-5)
+                         & (new[:, 2].min(axis=1) >= floor)
+                         & (mid[:, 2].min(axis=1) >= floor)
+                         & (x0_g[:, 2].min(axis=1) > floor))
+            end[sel] = new
+        return end, held
 
     # ------------------------------------------------------------------
     def record_condensation(self) -> None:

@@ -6,13 +6,12 @@ where ``B`` (the symmetric inter-zone coupling pattern) and ``s`` (the
 per-row thermal capacity / water mass / air volume scaling) are fixed
 for the life of a room and only the diagonal-loss vector ``d`` follows
 the actuation pattern.  Steady operation therefore revisits a handful
-of distinct ``d`` vectors thousands of times — and before this module,
-three call sites each kept (or skipped) their own memo: the scalar
-:class:`~repro.physics.room.Room`, the SoA
-:class:`~repro.physics.vector.BatchGapSolver` (which decomposed every
-gap from scratch) and the lockstep batch lane.
+of distinct ``d`` vectors thousands of times.
 
-This module is the one shared LRU they all key into.
+This module is one shared LRU of those decompositions.  Its caller is
+the one gap solver, :meth:`repro.physics.room.Room.solve_gaps`, which
+serves the scalar room, the SoA kernel and the lockstep replicas and
+looks up each distinct diagonal of its batch once.
 
 Cache key contract
 ------------------
@@ -31,8 +30,7 @@ An entry is keyed by ``(system_key, d.tobytes())``:
   commands hold between control updates — not from rounding.
 
 The cached value is the exact ``(a_inv, vals, vecs, vecs_inv)`` tuple
-the call site would have computed itself, so a hit is bit-identical to
-a miss.  Degenerate systems cache ``None`` (the caller falls back to
+:func:`decompose` returns, so a hit is bit-identical to a miss.  Degenerate systems cache ``None`` (the caller falls back to
 per-tick integration either way).  Eviction is LRU under both an entry
 count and a byte budget — one dense 1024-zone decomposition is ~125 MB
 of complex128, so counting entries alone would not bound memory.

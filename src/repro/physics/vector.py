@@ -25,13 +25,11 @@ This module keeps the *numbers* of the scalar path and restructures the
   (pump flows, exchanger effectiveness, fan power, coil constants, tank
   thermal masses, chiller COP at the frozen reject temperature) is
   hoisted once per gap, and the per-tick loop runs on plain local
-  floats.  Macro gaps then delegate the room advance to the
-  closed-form eigensolve the scalar path already uses
-  (:meth:`Room.macro_step`), so clamp-binding regimes fall back to
-  per-tick integration *exactly* as the reference does.
-* :class:`BatchGapSolver` stacks the macro gaps of many same-topology
-  rooms into one ``[batch, 3, n, n]`` eigensolve for sweep/bench
-  workloads that replicate a scenario across seeds.
+  floats.  Macro gaps then hand the gap's accumulators to the one
+  closed-form gap solver, :meth:`Room.solve_gaps`, as a batch of one —
+  the same solver the scalar room and the lockstep replicas use — and
+  integrate per tick, exactly as the reference does, when its
+  clamp probe says the closed form does not hold.
 
 Bit-exactness contract: every floating-point expression below repeats
 the grouping of the scalar component it replaces (``plant.py``,
@@ -45,14 +43,13 @@ pins the two together bit for bit.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.airside.airbox import AirboxOutput
 from repro.hydronics.panel import PanelResult
 from repro.hydronics.water import WATER_CP, mass_flow
-from repro.physics import spectral
 from repro.physics.psychrometrics import (
     dew_point_from_humidity_ratio,
     humidity_ratio_from_dew_point,
@@ -68,9 +65,7 @@ from repro.physics.room import (
     Room,
     Subspace,
     SubspaceInputs,
-    SubspaceState,
 )
-from repro.physics.weather import OutdoorState
 
 # plant.py imports this module only lazily (inside ``Plant.__init__``),
 # so pulling its constant here cannot cycle.
@@ -719,27 +714,43 @@ class VectorPlantKernel:
 
         # --- room advance ----------------------------------------------
         if macro:
-            averaged: List[SubspaceInputs] = []
-            for i in range(n):
-                flow = flow_sum[i] / ticks
-                if flow_sum[i] > 0:
-                    supply_temp = flow_temp_sum[i] / flow_sum[i]
-                    supply_w = flow_w_sum[i] / flow_sum[i]
-                else:
-                    supply_temp = temp_sum[i] / ticks
-                    supply_w = w_sum[i] / ticks
-                averaged.append(SubspaceInputs(
-                    panel_heat_w=heat_sum[i] / ticks,
-                    vent_flow_m3s=flow,
-                    vent_supply_temp_c=supply_temp,
-                    vent_supply_w=supply_w,
-                    occupants=occupants[i],
-                    equipment_w=equipment[i],
-                    door_open_fraction=opening[i],
-                ))
-            # The closed-form eigensolve (and its bit-exact per-tick
-            # clamp fallback) is shared with the scalar path.
-            room.macro_step(ticks * dt, outdoor, averaged)
+            # The gap accumulators go straight into the shared closed-form
+            # solver as a batch of one; input boxes are built only when
+            # the gap falls back to per-tick integration.
+            span = ticks * dt
+            flows = np.array(flow_sum)
+            has_flow = flows > 0
+            denom = np.where(has_flow, flows, 1.0)
+            vent_flow = flows / ticks
+            supply_temp = np.where(has_flow, np.array(flow_temp_sum) / denom,
+                                   np.array(temp_sum) / ticks)
+            supply_w = np.where(has_flow, np.array(flow_w_sum) / denom,
+                                np.array(w_sum) / ticks)
+            panel_heat = np.array(heat_sum) / ticks
+            end, held = room.solve_gaps(
+                span, np.array([[temps, ws, co2s]]), np.array([out_t]),
+                np.array([out_w]), np.array([out_co2]),
+                vent_flow=vent_flow[None], supply_temp=supply_temp[None],
+                supply_w=supply_w[None], panel_heat=panel_heat[None],
+                occupants=np.array([occupants]),
+                equipment=np.array([equipment]),
+                opening=np.array([opening]))
+            room.macro_gaps += 1
+            if held[0]:
+                arrays.temp_c[:] = end[0, 0]
+                arrays.humidity_ratio[:] = end[0, 1]
+                arrays.co2_ppm[:] = end[0, 2]
+            else:
+                room.macro_fallbacks += 1
+                room.step(span, outdoor, [
+                    SubspaceInputs(panel_heat_w=h, vent_flow_m3s=f,
+                                   vent_supply_temp_c=t, vent_supply_w=w,
+                                   occupants=o, equipment_w=e,
+                                   door_open_fraction=d)
+                    for h, f, t, w, o, e, d in zip(
+                        panel_heat.tolist(), vent_flow.tolist(),
+                        supply_temp.tolist(), supply_w.tolist(),
+                        occupants, equipment, opening)])
         else:
             self._fused_euler(dt, out_t, out_w, out_co2, temps, ws, co2s,
                               tick_ph, u_eflow, u_supt, u_supw,
@@ -888,101 +899,3 @@ class VectorPlantKernel:
                 co2s[i] = new_co2
             remaining -= sub_dt
 
-
-class BatchGapSolver:
-    """Macro-step many same-topology rooms off the shared spectral cache.
-
-    Sweep and bench campaigns replicate one scenario across seeds; each
-    replica's macro gap assembles an independent ``(3, n, n)`` linear
-    system.  The rooms share their structure hash (validated here), so
-    every gap resolves through :mod:`repro.physics.spectral`: replicas
-    whose actuation pattern matches — or matches any earlier gap of any
-    room — reuse one decomposition instead of re-factorising, and the
-    per-gap work collapses to small matmuls.  The propagation repeats
-    :meth:`Room._solve_macro_gap`'s expressions on the same cached
-    arrays, so results are bit-identical to the scalar path, and any
-    room whose trajectory touches a clamp floor falls back to its own
-    per-tick :meth:`Room.step`, exactly like the single-room path.
-    """
-
-    def __init__(self, rooms: Sequence[Room]) -> None:
-        if not rooms:
-            raise ValueError("need at least one room")
-        base = rooms[0]._macro_base
-        scale = rooms[0]._macro_scale
-        key = rooms[0]._macro_key
-        for room in rooms[1:]:
-            if room._macro_key != key:
-                raise ValueError(
-                    "batched rooms must share topology, parameters "
-                    "and solver")
-        self.rooms = list(rooms)
-        self._base = base
-        self._scale = scale
-        self._key = key
-        self._solver = rooms[0]._solver
-
-    def macro_step(self, dt: float, outdoors: Sequence[OutdoorState],
-                   inputs_batch: Sequence[Sequence[SubspaceInputs]]
-                   ) -> List[bool]:
-        """Advance every room ``dt`` seconds in lockstep.
-
-        Returns one flag per room: True when that room was integrated
-        per tick (clamp fallback or degenerate algebra) instead of in
-        closed form.
-        """
-        rooms = self.rooms
-        b = len(rooms)
-        if len(outdoors) != b or len(inputs_batch) != b:
-            raise ValueError(
-                "need one outdoor state and one input set per room")
-        n = len(rooms[0].subspaces)
-        x0 = np.empty((b, 3, n))
-        diag = np.empty((b, 3, n))
-        rhs = np.empty((b, 3, n))
-        for k, room in enumerate(rooms):
-            if len(inputs_batch[k]) != n:
-                raise ValueError(
-                    f"room {k} expects {n} subspace inputs, "
-                    f"got {len(inputs_batch[k])}")
-            x0[k], diag[k], rhs[k] = room._assemble_macro(
-                outdoors[k], inputs_batch[k])
-        rhs = rhs / self._scale
-        fallback = [False] * b
-        for k, room in enumerate(rooms):
-            decomp = spectral.decomposition(
-                self._key, diag[k], self._base, self._scale, self._solver)
-            if decomp is None:
-                # Degenerate algebra for this replica: hand it to its own
-                # scalar macro path, which sorts out fallback exactly as
-                # if no batching existed.
-                room.macro_step(dt, outdoors[k], inputs_batch[k])
-                fallback[k] = True
-                continue
-            a_inv, vals, vecs, vecs_inv = decomp
-            x_eq = -(a_inv @ rhs[k][..., None])[..., 0]
-            y0 = vecs_inv @ (x0[k] - x_eq)[..., None].astype(vecs.dtype)
-            new_state = ((vecs @ (np.exp(vals * dt)[..., None] * y0))
-                         [..., 0] + x_eq).real
-            mid_state = ((vecs @ (np.exp(vals * (0.5 * dt))[..., None] * y0))
-                         [..., 0] + x_eq).real
-            co2_floor = outdoors[k].co2_ppm * 0.5
-            room.macro_gaps += 1
-            if (new_state[1].min() < 1e-5
-                    or mid_state[1].min() < 1e-5
-                    or x0[k, 1].min() <= 1e-5
-                    or new_state[2].min() < co2_floor
-                    or mid_state[2].min() < co2_floor
-                    or x0[k, 2].min() <= co2_floor):
-                room.macro_fallbacks += 1
-                room.step(dt, outdoors[k], inputs_batch[k])
-                fallback[k] = True
-                continue
-            for i, subspace in enumerate(room.subspaces):
-                # float() for the same reason Room.macro_step uses it:
-                # np.float64 must not leak into live state (round() on
-                # numpy scalars perturbs the psychrometrics memo keys).
-                subspace.state = SubspaceState(float(new_state[0, i]),
-                                               float(new_state[1, i]),
-                                               float(new_state[2, i]))
-        return fallback

@@ -14,7 +14,6 @@ from repro.runtime.spec import (
     RunSpec,
     execute_spec,
     paper_metrics,
-    shift_fault,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "execute_spec",
     "paper_metrics",
     "run_specs",
-    "shift_fault",
 ]

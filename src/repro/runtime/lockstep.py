@@ -39,8 +39,12 @@ Exactness contract — weaker than the solo vector path, deliberately:
 
 The payoff is throughput: one process macro-steps a whole
 seed-replication batch in lockstep, and the per-gap cost grows far
-slower than linearly in the batch size (the eigensolve cache is shared
-across replicas; the tick loop is R-wide vector arithmetic).
+slower than linearly in the batch size (the tick loop is R-wide vector
+arithmetic).  A macro gap's room advance is not transcribed here: the
+replicas are one batch of the master room's
+:meth:`~repro.physics.room.Room.solve_gaps`, the same closed-form
+solver the solo paths use, so replicas with equal actuation share one
+cached eigendecomposition.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from repro.control.ventilation import CONTROL_HORIZON_S
 from repro.core.plant import CONDENSER_APPROACH_K
 from repro.hydronics.panel import PanelResult
 from repro.hydronics.water import WATER_CP, WATER_DENSITY
-from repro.physics import spectral
 from repro.physics.psychrometrics import (
     dew_point_from_humidity_ratio_array,
     humidity_ratio_from_dew_point_array,
@@ -349,11 +352,16 @@ class LockstepBatch:
         opening = np.array(
             [door_f * topo.door_weights[i] + w08 * topo.window_weights[i]
              for i in range(n)])
+        self._occupants = occupants
+        self._equipment = equipment
+        self._opening = opening
         self._occ_sens = occupants * OCCUPANT_SENSIBLE_W + equipment
         self._occ_lat = occupants * OCCUPANT_LATENT_KGS
         self._occ_co2 = occupants * OCCUPANT_CO2_M3S * 1e6
 
-        # Room constants (shared across replicas by construction).
+        # Room constants (shared across replicas by construction); the
+        # macro gap solver is the master room's own.
+        self._room = room
         params = room.params
         self._envelope_ua = params.envelope_ua_w_per_k
         self._capacity = params.capacity_j_per_k
@@ -362,17 +370,13 @@ class LockstepBatch:
         self._mixing_flow = params.mixing_flow_m3s
         self._m_mix = room._m_mix
         self._mc_mix = room._mc_mix
-        self._infil = np.array(room._infil_flows)
+        self._infil = room._infil
         self._water_masses = np.array(room._water_masses)
         self._volumes = np.array([s.volume_m3 for s in room.subspaces])
         self._max_euler_dt = room._max_euler_dt
         door_flow = opening * params.door_exchange_m3s
         self._g_exch = self._infil + door_flow
         self._m_exch = self._g_exch * AIR_DENSITY
-        self._macro_base = room._macro_base
-        self._macro_scale = room._macro_scale
-        self._macro_key = room._macro_key
-        self._solver = room._solver
         edges = np.array(room.adjacency, dtype=np.int64).reshape(-1, 2)
         self._adj_i = edges[:, 0]
         self._adj_j = edges[:, 1]
@@ -683,78 +687,26 @@ class LockstepBatch:
         self._time_int = self._time_int + ticks * dt
 
     # ------------------------------------------------------------------
-    def _decomposition(self, diag_row: np.ndarray) -> Optional[tuple]:
-        """One replica's gap decomposition, via the shared spectral cache.
-
-        Replicas of the same scenario mostly agree on their steady-state
-        actuation pattern, so the batch resolves a handful of distinct
-        diagonals per run — and shares them with any solo run of the
-        same topology in this process.
-        """
-        return spectral.decomposition(self._macro_key, diag_row,
-                                      self._macro_base,
-                                      self._macro_scale, self._solver)
-
     def _advance_rooms_macro(self, dt: float, flow, sup_t, sup_w,
                              panel_heat, out_t, out_w, out_c) -> None:
         """Closed-form room advance for all replicas over one macro gap.
 
-        Groups replicas by their diagonal-loss vector so one shared
-        eigendecomposition propagates a whole group; replicas whose
-        trajectory touches a clamp floor (or whose algebra degenerates)
-        drop to the per-tick Euler transcription, mirroring
-        :meth:`Room.macro_step`'s fallback.
+        The replicas are one batch of the master room's
+        :meth:`~repro.physics.room.Room.solve_gaps`; replicas whose
+        closed form does not hold drop to the per-tick Euler
+        transcription, mirroring :meth:`Room.macro_step`'s fallback.
         """
-        R = self._r
-        m_vent = flow * AIR_DENSITY
-        diag = np.empty((R, 3, self._n))
-        rhs = np.empty((R, 3, self._n))
-        diag[:, 0] = self._envelope_ua + (m_vent + self._m_exch) * AIR_CP
-        rhs[:, 0] = ((self._envelope_ua + self._m_exch * AIR_CP)
-                     * out_t[:, None]
-                     + m_vent * AIR_CP * sup_t
-                     + self._occ_sens - panel_heat)
-        diag[:, 1] = m_vent + self._m_exch
-        rhs[:, 1] = (m_vent * sup_w + self._m_exch * out_w[:, None]
-                     + self._occ_lat)
-        g = flow + self._g_exch
-        diag[:, 2] = g
-        rhs[:, 2] = g * out_c[:, None] + self._occ_co2
         x0 = np.stack([self._T, self._W, self._C], axis=1)
-        co2_floor = out_c * 0.5
-
-        groups: Dict[bytes, List[int]] = {}
-        for r in range(R):
-            groups.setdefault(diag[r].tobytes(), []).append(r)
-        fallback: List[int] = []
-        for members in groups.values():
-            decomp = self._decomposition(diag[members[0]])
-            if decomp is None:
-                fallback.extend(members)
-                continue
-            a_inv, vals, vecs, vecs_inv = decomp
-            sel = np.array(members)
-            rhs_g = rhs[sel] / self._macro_scale
-            x0_g = x0[sel]
-            x_eq = -(a_inv @ rhs_g[..., None])[..., 0]
-            y0 = vecs_inv @ (x0_g - x_eq)[..., None].astype(vecs.dtype)
-            new = ((vecs @ (np.exp(vals * dt)[..., None] * y0))
-                   [..., 0] + x_eq).real
-            mid = ((vecs @ (np.exp(vals * (0.5 * dt))[..., None] * y0))
-                   [..., 0] + x_eq).real
-            ok = ((new[:, 1].min(axis=1) >= 1e-5)
-                  & (mid[:, 1].min(axis=1) >= 1e-5)
-                  & (x0_g[:, 1].min(axis=1) > 1e-5)
-                  & (new[:, 2].min(axis=1) >= co2_floor[sel])
-                  & (mid[:, 2].min(axis=1) >= co2_floor[sel])
-                  & (x0_g[:, 2].min(axis=1) > co2_floor[sel]))
-            good = sel[ok]
-            self._T[good] = new[ok][:, 0]
-            self._W[good] = new[ok][:, 1]
-            self._C[good] = new[ok][:, 2]
-            fallback.extend(int(r) for r in sel[~ok])
-        if fallback:
-            sel = np.array(sorted(fallback))
+        end, held = self._room.solve_gaps(
+            dt, x0, out_t, out_w, out_c, vent_flow=flow, supply_temp=sup_t,
+            supply_w=sup_w, panel_heat=panel_heat,
+            occupants=self._occupants, equipment=self._equipment,
+            opening=self._opening)
+        self._T[held] = end[held, 0]
+        self._W[held] = end[held, 1]
+        self._C[held] = end[held, 2]
+        sel = np.flatnonzero(~held)
+        if sel.size:
             self._euler_advance(sel, dt, out_t[sel], out_w[sel],
                                 out_c[sel], flow[sel], sup_t[sel],
                                 sup_w[sel], panel_heat[sel])

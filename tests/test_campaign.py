@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.runtime.spec import shift_fault
 from repro.workloads.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -17,6 +16,7 @@ from repro.workloads.faults import (
     NodeCrash,
     SensorDrift,
     SensorStuck,
+    shift_fault,
 )
 
 

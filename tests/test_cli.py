@@ -48,6 +48,34 @@ class TestParser:
         assert args.hours == 1.5
 
 
+class TestBenchCommand:
+    """``repro bench`` hands its arguments to repro.bench untouched."""
+
+    def _forwarded(self, monkeypatch, argv):
+        import repro.bench
+
+        seen = []
+        monkeypatch.setattr(repro.bench, "main",
+                            lambda args: seen.append(list(args)) or 0)
+        assert main(["bench", *argv]) == 0
+        return seen
+
+    def test_flags_missing_from_the_old_copy_reach_the_bench(
+            self, monkeypatch):
+        for argv in (["--sweep-lockstep", "4"], ["--parallel-runs", "2"],
+                     ["--baseline", "x.json"]):
+            assert self._forwarded(monkeypatch, argv) == [argv]
+
+    def test_argument_order_is_kept(self, monkeypatch):
+        argv = ["--trial", "hvac", "--grid", "4,32", "-o", "out.json",
+                "--no-macro"]
+        assert self._forwarded(monkeypatch, argv) == [argv]
+
+    def test_other_commands_still_reject_unknown_flags(self):
+        with pytest.raises(SystemExit):
+            main(["lifetime", "--sweep-lockstep", "4"])
+
+
 class TestRunCommand:
     def test_short_direct_run(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"

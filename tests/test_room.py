@@ -1,5 +1,6 @@
 """Tests for the multi-subspace room model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,3 +203,87 @@ class TestIntegrationStability:
             assert -10.0 < state.temp_c < 60.0
             assert 0.0 < state.humidity_ratio < 0.05
             assert 150.0 < state.co2_ppm < 20000.0
+
+
+class TestSharedGapSolver:
+    """:meth:`Room.solve_gaps` serves the solo room, the SoA kernel and
+    the lockstep replicas alike, so a row's result must not depend on
+    the batch it rides in."""
+
+    DT = 1800.0
+    DRY = 3  # the row whose trajectory dives through the humidity floor
+
+    def _stack(self):
+        rng = np.random.default_rng(11)
+        b, n = 6, 4
+        x0 = np.empty((b, 3, n))
+        x0[:, 0] = rng.uniform(22.0, 30.0, (b, n))
+        x0[:, 1] = rng.uniform(0.012, 0.022, (b, n))
+        x0[:, 2] = rng.uniform(450.0, 900.0, (b, n))
+        outdoor = [rng.uniform(26.0, 32.0, b), rng.uniform(0.015, 0.02, b),
+                   np.full(b, 400.0)]
+        cols = {
+            "vent_flow": rng.choice([0.0, 0.02, 0.05], (b, n)),
+            "supply_temp": rng.uniform(14.0, 20.0, (b, n)),
+            "supply_w": rng.uniform(0.007, 0.01, (b, n)),
+            "panel_heat": rng.uniform(0.0, 400.0, (b, n)),
+            "occupants": rng.integers(0, 3, (b, n)).astype(float),
+            "equipment": np.full((b, n), 40.0),
+            "opening": rng.choice([0.0, 0.3], (b, n)),
+        }
+        # Rows 1 and 4 share their actuation, hence their diagonal
+        # losses, but not their state or forcing.
+        cols["vent_flow"][4] = cols["vent_flow"][1]
+        cols["opening"][4] = cols["opening"][1]
+        # Bone-dry supply and outdoor air at a high flow: the closed
+        # form overshoots the 1e-5 humidity floor inside the gap.  Row 0
+        # shares the dry row's actuation (so its decomposition) but not
+        # its dry air, and stays clear of the floor.
+        outdoor[1][self.DRY] = 0.0
+        cols["vent_flow"][[0, self.DRY]] = 0.2
+        cols["opening"][self.DRY] = cols["opening"][0]
+        cols["supply_w"][self.DRY] = 0.0
+        cols["occupants"][self.DRY] = 0.0
+        return x0, outdoor, cols
+
+    @staticmethod
+    def _solve(room, x0, outdoor, cols, rows):
+        return room.solve_gaps(
+            TestSharedGapSolver.DT, x0[rows], *(o[rows] for o in outdoor),
+            **{name: col[rows] for name, col in cols.items()})
+
+    def test_rows_match_solo_calls_byte_for_byte(self):
+        room = Room()
+        x0, outdoor, cols = self._stack()
+        rows = np.arange(len(x0))
+        end, held = self._solve(room, x0, outdoor, cols, rows)
+        assert list(held) == [k != self.DRY for k in rows]
+        for k in rows:
+            solo_end, solo_held = self._solve(room, x0, outdoor, cols,
+                                              rows[k:k + 1])
+            assert solo_held[0] == held[k]
+            assert solo_end[0].tobytes() == end[k].tobytes()
+
+    def test_floor_row_leaves_neighbours_alone(self):
+        room = Room()
+        x0, outdoor, cols = self._stack()
+        rows = np.arange(len(x0))
+        end, held = self._solve(room, x0, outdoor, cols, rows)
+        others = rows[rows != self.DRY]
+        end_wo, held_wo = self._solve(room, x0, outdoor, cols, others)
+        assert held[others].all() and held_wo.all()
+        assert end_wo.tobytes() == end[others].tobytes()
+
+    def test_one_lookup_per_distinct_diagonal(self):
+        from repro.physics import spectral
+
+        room = Room()
+        x0, outdoor, cols = self._stack()
+        distinct = {(cols["vent_flow"][k].tobytes(),
+                     cols["opening"][k].tobytes()) for k in range(len(x0))}
+        assert len(distinct) < len(x0)
+        stats = spectral.cache_stats()
+        before = stats["hits"] + stats["misses"]
+        self._solve(room, x0, outdoor, cols, np.arange(len(x0)))
+        stats = spectral.cache_stats()
+        assert stats["hits"] + stats["misses"] - before == len(distinct)

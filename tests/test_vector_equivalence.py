@@ -15,10 +15,11 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.fingerprint import discrete_log_hash
+from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.core.config import BubbleZeroConfig, NetworkConfig
 from repro.core.system import BubbleZero
 from repro.obs import create_observability
+from repro.physics.room import SubspaceState
 from repro.scenarios.topology import grid_topology
 
 
@@ -123,3 +124,59 @@ class TestObservedEquivalence:
             minutes=5.0, obs_on=False)
         assert (discrete_log_hash(observed_s)
                 == discrete_log_hash(blind_s))
+
+
+class TestStateDigest:
+    """The identity gates compare :func:`state_digest`, which must see
+    what the discrete hash cannot: the continuous end state."""
+
+    def _grid(self, vector):
+        config = BubbleZeroConfig(seed=7, network=DIRECT,
+                                  physics_vector=vector)
+        return _run(config, topology=grid_topology(4, cols=2), minutes=5.0)
+
+    def test_equal_across_physics_paths(self):
+        assert (state_digest(self._grid(False))
+                == state_digest(self._grid(True)))
+
+    def test_one_ulp_changes_the_digest(self):
+        import math
+
+        system = self._grid(True)
+        before_digest = state_digest(system)
+        before_hash = discrete_log_hash(system)
+        subspace = system.plant.room.subspaces[2]
+        state = subspace.state
+        subspace.state = SubspaceState(
+            math.nextafter(state.temp_c, math.inf), state.humidity_ratio,
+            state.co2_ppm)
+        assert state_digest(system) != before_digest
+        # The discrete hash is blind to it — why the gates moved off it.
+        assert discrete_log_hash(system) == before_hash
+
+    def test_tank_temperature_is_covered(self):
+        import math
+
+        system = self._grid(False)
+        before = state_digest(system)
+        tank = system.plant.vent_tank
+        tank.temp_c = math.nextafter(tank.temp_c, -math.inf)
+        assert state_digest(system) != before
+
+
+class TestMacroFallback:
+    def test_kernel_fallback_matches_scalar(self, monkeypatch):
+        """With the closed form refused on every gap, the kernel's own
+        per-tick fallback must still match the scalar room's."""
+        from repro.physics import spectral
+
+        monkeypatch.setattr(spectral, "decomposition",
+                            lambda *args, **kwargs: None)
+        config = BubbleZeroConfig(seed=7, network=DIRECT)
+        scalar, vector = _compare(config, topology=grid_topology(4, cols=2),
+                                  minutes=10.0)
+        assert state_digest(scalar) == state_digest(vector)
+        room_s, room_v = scalar.plant.room, vector.plant.room
+        assert room_v.macro_gaps > 0
+        assert (room_s.macro_gaps == room_s.macro_fallbacks
+                == room_v.macro_gaps == room_v.macro_fallbacks)
